@@ -85,7 +85,7 @@ func (a *Action) Apply(s *State) *State {
 // the same schema; dst is overwritten. It is the hot-loop form used by the
 // successor-table construction in internal/verify.
 func (a *Action) ApplyInto(src, dst *State) {
-	copy(dst.vals, src.vals)
+	dst.CopyFrom(src)
 	a.Body(dst)
 }
 

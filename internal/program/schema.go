@@ -159,10 +159,9 @@ func (s *Schema) StateAt(idx int64) *State {
 }
 
 // StateInto decodes a mixed-radix state index into an existing state,
-// avoiding StateAt's per-call allocation. It is the hot-loop form used by
-// the sharded enumeration passes of internal/verify, where each worker
-// owns one scratch state. st must have been created for this schema. It
-// panics if idx is out of range.
+// avoiding StateAt's per-call allocation. st must have been created for
+// this schema. It panics if idx is out of range. Loops over many states
+// use a Codec, which decodes the same indices from precomputed tables.
 func (s *Schema) StateInto(idx int64, st *State) {
 	for i := len(s.specs) - 1; i >= 0; i-- {
 		sz := s.specs[i].Dom.Size()
@@ -175,7 +174,7 @@ func (s *Schema) StateInto(idx int64, st *State) {
 }
 
 // Index encodes a state as a mixed-radix integer in 0..StateCount-1.
-// It is the inverse of StateAt.
+// It is the inverse of StateAt, and the reference form of Codec.Encode.
 func (s *Schema) Index(st *State) int64 {
 	var idx int64
 	for i, sp := range s.specs {

@@ -53,6 +53,12 @@ func (s *State) Clone() *State {
 	return &State{schema: s.schema, vals: vals}
 }
 
+// CopyFrom overwrites s with the values of src, a state of the same
+// schema.
+func (s *State) CopyFrom(src *State) {
+	copy(s.vals, src.vals)
+}
+
 // Equal reports whether two states over the same schema assign the same
 // values. States over different schemas are never equal.
 func (s *State) Equal(o *State) bool {

@@ -159,6 +159,14 @@ func (net *Network) Run(deadline time.Duration) *Result {
 	n := net.proto.Nodes()
 	start := time.Now()
 
+	// The initial snapshot is copied before the nodes start: from then
+	// on each node's registers belong to its own goroutine.
+	snapshot := make([][]int32, n)
+	for i := range snapshot {
+		snapshot[i] = make([]int32, len(net.regs[i]))
+		copy(snapshot[i], net.regs[i])
+	}
+
 	// Per-node send RNGs, seeded deterministically.
 	for i := 0; i < n; i++ {
 		i := i
@@ -171,11 +179,6 @@ func (net *Network) Run(deadline time.Duration) *Result {
 	stable := net.cfg.StableUpdates
 	if stable <= 0 {
 		stable = 3 * n
-	}
-	snapshot := make([][]int32, n)
-	for i := range snapshot {
-		snapshot[i] = make([]int32, len(net.regs[i]))
-		copy(snapshot[i], net.regs[i])
 	}
 	res := &Result{}
 	consecutive := 0

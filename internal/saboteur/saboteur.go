@@ -173,6 +173,7 @@ func Search(ctx context.Context, sp *verify.Space, opts Options) (*Result, error
 	e := &engine{
 		sp:        sp,
 		cur:       sp.NewSuccCursor(),
+		codec:     sp.Codec(),
 		st:        sp.P.Schema.NewState(),
 		tmp:       sp.P.Schema.NewState(),
 		k:         o.K,
@@ -234,6 +235,7 @@ type parent struct {
 type engine struct {
 	sp       *verify.Space
 	cur      *verify.SuccCursor
+	codec    *program.Codec
 	st, tmp  *program.State
 	k        int
 	budget   int64
@@ -284,6 +286,19 @@ func (h *nodeHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
+}
+
+// faultSteps calls fn(a, j) for every alphabet action a enabled at state
+// i, in alphabet order, with the index j of the state it leads to.
+func (e *engine) faultSteps(i int64, fn func(a *program.Action, j int64)) {
+	e.codec.Decode(i, e.st)
+	for _, a := range e.alphabet {
+		if !a.Guard(e.st) {
+			continue
+		}
+		a.ApplyInto(e.st, e.tmp)
+		fn(a, e.codec.Encode(e.tmp))
+	}
 }
 
 // push enqueues (i, f) unless the exclusion set dominates it.
@@ -340,18 +355,11 @@ func (e *engine) searchRecovery(ctx context.Context) (*Result, error) {
 			continue
 		}
 		e.minF[i] = 0
-		sp.P.Schema.StateInto(i, e.st)
-		for _, a := range e.alphabet {
-			if !a.Guard(e.st) {
-				continue
+		e.faultSteps(i, func(a *program.Action, j int64) {
+			if sp.InT(j) {
+				e.push(j, 1, ub(j, 1), parent{key: nkey(i, 0), act: a})
 			}
-			a.ApplyInto(e.st, e.tmp)
-			j := sp.P.Schema.Index(e.tmp)
-			if !sp.InT(j) {
-				continue
-			}
-			e.push(j, 1, ub(j, 1), parent{key: nkey(i, 0), act: a})
-		}
+		})
 	}
 
 	incumbent := 0 // zero faults, zero recovery: always achievable
@@ -385,18 +393,11 @@ func (e *engine) searchRecovery(ctx context.Context) (*Result, error) {
 			}
 		}
 		if f < e.k {
-			sp.P.Schema.StateInto(n.i, e.st)
-			for _, a := range e.alphabet {
-				if !a.Guard(e.st) {
-					continue
+			e.faultSteps(n.i, func(a *program.Action, j int64) {
+				if sp.InT(j) {
+					e.push(j, f+1, ub(j, f+1), parent{key: nkey(n.i, f), act: a})
 				}
-				a.ApplyInto(e.st, e.tmp)
-				j := sp.P.Schema.Index(e.tmp)
-				if !sp.InT(j) {
-					continue
-				}
-				e.push(j, f+1, ub(j, f+1), parent{key: nkey(n.i, f), act: a})
-			}
+			})
 		}
 		e.cur.ForEach(n.i, func(a *program.Action, j int64) bool {
 			// Fault-kind actions of the program are scheduled through the
@@ -459,23 +460,15 @@ func (e *engine) searchEscape(ctx context.Context) (*Result, error) {
 			continue
 		}
 		e.minF[i] = 0
-		sp.P.Schema.StateInto(i, e.st)
-		for _, a := range e.alphabet {
-			if !a.Guard(e.st) {
-				continue
-			}
-			a.ApplyInto(e.st, e.tmp)
-			j := sp.P.Schema.Index(e.tmp)
-			if !sp.InT(j) {
-				if best == nil {
-					record(nkey(i, 0), a, 1)
-				}
-				continue
-			}
-			if best == nil {
+		e.faultSteps(i, func(a *program.Action, j int64) {
+			switch {
+			case best != nil:
+			case !sp.InT(j):
+				record(nkey(i, 0), a, 1)
+			default:
 				e.push(j, 1, int32(e.k-1), parent{key: nkey(i, 0), act: a})
 			}
-		}
+		})
 	}
 
 	optimal := best != nil // a 1-fault escape cannot be beaten
@@ -516,19 +509,13 @@ func (e *engine) searchEscape(ctx context.Context) (*Result, error) {
 				break
 			}
 			if f < e.k {
-				sp.P.Schema.StateInto(n.i, e.st)
-				for _, a := range e.alphabet {
-					if !a.Guard(e.st) {
-						continue
-					}
-					a.ApplyInto(e.st, e.tmp)
-					j := sp.P.Schema.Index(e.tmp)
+				e.faultSteps(n.i, func(a *program.Action, j int64) {
 					if !sp.InT(j) {
 						record(nkey(n.i, f), a, f+1)
-						continue
+						return
 					}
 					e.push(j, f+1, int32(e.k-f-1), parent{key: nkey(n.i, f), act: a})
-				}
+				})
 			}
 		}
 		if e.h.Len() == 0 && !exhausted {
@@ -583,13 +570,13 @@ func (e *engine) deltaMax(ctx context.Context, worst []int32) (int, error) {
 				if !sp.InT(i) {
 					continue
 				}
-				sp.P.Schema.StateInto(i, st)
+				e.codec.Decode(i, st)
 				for _, a := range e.alphabet {
 					if !a.Guard(st) {
 						continue
 					}
 					a.ApplyInto(st, tmp)
-					j := sp.P.Schema.Index(tmp)
+					j := e.codec.Encode(tmp)
 					if !sp.InT(j) {
 						continue
 					}

@@ -390,7 +390,7 @@ func validateStaticOptions(o verify.Options) error {
 type job struct {
 	id string
 	c  *compiled
-	// node is the server's cluster node name (registerLocked stamps it).
+	// node is the server's cluster node name (newJobLocked stamps it).
 	node string
 
 	mu        sync.Mutex
@@ -412,7 +412,7 @@ type job struct {
 	// coalescing entry.
 	onTerminal func()
 
-	// events is the job's bus stream (registerLocked attaches it); its
+	// events is the job's bus stream (newJobLocked attaches it); its
 	// sequence is the replayable event log SSE subscribers drain. Nil on
 	// jobs never registered with a server (tests), which Publish tolerates.
 	events *obs.Stream

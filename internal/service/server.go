@@ -453,9 +453,9 @@ func (s *Server) admit(c *compiled) (*job, error) {
 				tenant: c.tenant}
 		}
 	}
-	// Reserve a queue slot before registering the record so a rejected
+	// Reserve a queue slot before recording the job so a rejected
 	// submission leaves no trace.
-	j := newJob(s.nextIDLocked(), c, now)
+	j := s.newJobLocked(c, now)
 	// The terminal transition releases the in-flight entry and the quota
 	// slot; wire the hook before the enqueue so an executor cannot finish
 	// the job first. The pointer comparison guards against a later leader
@@ -472,9 +472,15 @@ func (s *Server) admit(c *compiled) (*job, error) {
 	if c.priority {
 		q = s.queueHigh
 	}
+	// An executor may pick the job up as soon as it is on the queue and
+	// publishes "running" under j.mu; holding j.mu from the send until
+	// "queued" is out keeps the stream's lifecycle in order.
+	j.mu.Lock()
 	select {
 	case q <- j:
 	default:
+		j.mu.Unlock()
+		s.bus.Remove(j.id)
 		tn.release()
 		s.mu.Unlock()
 		s.metrics.Rejected.Add(1)
@@ -482,8 +488,10 @@ func (s *Server) admit(c *compiled) (*job, error) {
 			msg:    fmt.Sprintf("queue full (%d queued); retry later", s.cfg.QueueSize),
 			tenant: c.tenant}
 	}
+	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateQueued)})
+	j.mu.Unlock()
 	s.inflight[c.key] = j
-	s.registerLocked(j)
+	s.recordLocked(j)
 	s.mu.Unlock()
 	s.metrics.Submitted.Add(1)
 	s.metrics.CacheMisses.Add(1)
@@ -544,10 +552,24 @@ func (s *Server) ListJobs(limit, offset int) JobsPage {
 	return out
 }
 
-// admitLocked creates and registers a job record (s.mu held).
+// admitLocked creates and records a job that needs no queue slot,
+// publishing the "queued" lifecycle event every job's sequence starts
+// with (s.mu held).
 func (s *Server) admitLocked(c *compiled, now time.Time) *job {
+	j := s.newJobLocked(c, now)
+	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateQueued)})
+	s.recordLocked(j)
+	return j
+}
+
+// newJobLocked creates a job with the next id, stamped with this node
+// and attached to its event stream (s.mu held). Both happen before the
+// job can reach an executor, which reads them; a job that is then
+// rejected must drop its stream with s.bus.Remove.
+func (s *Server) newJobLocked(c *compiled, now time.Time) *job {
 	j := newJob(s.nextIDLocked(), c, now)
-	s.registerLocked(j)
+	j.node = s.cfg.NodeName
+	j.events = s.bus.Stream(j.id)
 	return j
 }
 
@@ -566,15 +588,11 @@ func (s *Server) prefixID(id string) string {
 	return s.cfg.NodeName + "." + id
 }
 
-// registerLocked records a job, attaches its event stream (publishing the
-// "queued" lifecycle event every job's sequence starts with), and evicts
-// the oldest finished records past the retention bound (s.mu held).
-func (s *Server) registerLocked(j *job) {
-	j.node = s.cfg.NodeName
+// recordLocked retains a job record and evicts the oldest finished
+// records past the retention bound (s.mu held).
+func (s *Server) recordLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	j.events = s.bus.Stream(j.id)
-	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateQueued)})
 	for len(s.jobs) > s.cfg.MaxRecords {
 		evicted := false
 		for i, id := range s.order {

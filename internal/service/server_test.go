@@ -4,9 +4,11 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"nonmask/internal/obs"
 	"nonmask/internal/protocols/registry"
 	"nonmask/internal/verify"
 )
@@ -348,5 +350,60 @@ func TestRecordEviction(t *testing.T) {
 	}
 	if _, ok := s.Job("j-00000001"); ok {
 		t.Fatal("oldest finished record survived")
+	}
+}
+
+// TestAdmitRacesExecutors submits distinct cache-miss jobs from several
+// goroutines while executors drain the queue. An executor may pick a job
+// up the moment it is enqueued, so its event stream must already be
+// attached: under -race an enqueue ahead of the attach is a data race on
+// the job's stream, and every job's event log must still open with
+// "queued" followed by "running".
+func TestAdmitRacesExecutors(t *testing.T) {
+	s := New(Config{Executors: 4, QueueSize: 256})
+	defer s.Shutdown(context.Background())
+	const submitters, perSubmitter = 4, 12
+	ids := make(chan string, submitters*perSubmitter)
+	errs := make(chan error, submitters*perSubmitter)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				spec := JobSpec{Protocol: "tokenring-path", Params: registry.Params{N: 1, K: 2 + g*perSubmitter + i}}
+				st, err := s.Submit(spec)
+				if err != nil {
+					errs <- err
+					continue
+				}
+				ids <- st.ID
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(ids)
+	close(errs)
+	for err := range errs {
+		t.Fatalf("submission rejected: %v", err)
+	}
+	for id := range ids {
+		if st := waitTerminal(t, s, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
+		}
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		hist, sub := j.events.Subscribe(0, 1)
+		sub.Close()
+		var states []string
+		for _, ev := range hist {
+			if ev.Type == obs.EventJob {
+				states = append(states, ev.State)
+			}
+		}
+		if len(states) < 2 || states[0] != string(StateQueued) || states[1] != string(StateRunning) {
+			t.Fatalf("job %s lifecycle events %v, want queued, running, ...", id, states)
+		}
 	}
 }

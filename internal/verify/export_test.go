@@ -65,3 +65,13 @@ func (sp *Space) ReverseIndex() (revOff []uint32, revPred []int32, err error) {
 
 // SweepSpillDir runs the crash-leftover sweep on dir, for tests.
 func SweepSpillDir(dir string) { sweepSpillLeftovers(dir) }
+
+// ForwardCSR exposes the forward CSR arrays (offsets and edges) for
+// byte-identity assertions against an independent encoder; both are nil
+// when the space has no successor index.
+func (sp *Space) ForwardCSR() (offsets []uint32, edges []int32) {
+	if sp.idx == nil {
+		return nil, nil
+	}
+	return sp.idx.offsets, sp.idx.edges
+}

@@ -101,7 +101,7 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 		st := scr[worker]
 		var n int64
 		for i := lo; i < hi; i++ {
-			sp.stateInto(i, st)
+			sp.walkInto(lo, i, st)
 			for _, a := range sp.P.Actions {
 				if a.Guard(st) {
 					n++
@@ -143,7 +143,7 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 		st, tmp := pairs[worker].st, pairs[worker].tmp
 		cur := chunkBase[lo/chunkStates]
 		for i := lo; i < hi; i++ {
-			sp.stateInto(i, st)
+			sp.walkInto(lo, i, st)
 			g.offsets[i] = uint32(cur)
 			for _, a := range sp.P.Actions {
 				if !a.Guard(st) {

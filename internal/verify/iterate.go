@@ -69,6 +69,11 @@ func (sp *Space) ForEachSuccessor(i int64, fn func(a *program.Action, j int64) b
 // with the caller's tracer, so such spans surface in Report.PassStats().
 func (sp *Space) Tracer() obs.Tracer { return sp.opts.Tracer }
 
+// Codec exposes the space's mixed-radix codec over full-product state
+// indices, for follow-up passes in other packages that decode states
+// and encode successors in their own loops.
+func (sp *Space) Codec() *program.Codec { return sp.codec }
+
 // Workers exposes the resolved worker count of the space's options, for
 // follow-up passes that shard their own scans.
 func (sp *Space) Workers() int { return sp.workers() }

@@ -77,7 +77,7 @@ func (q *quotient) lookupRep(fi int64) (int64, bool) {
 // rewrite is safe (representative states are fixed points). Lookup
 // failure is impossible after buildQuotient's idempotence sweep; a miss
 // here means memory corruption, so it panics rather than limping on.
-func (q *quotient) indexOf(schema *program.Schema, st *program.State) int64 {
+func (q *quotient) indexOf(codec *program.Codec, st *program.State) int64 {
 	q.sym.Canonicalize(st)
 	if q.fpKeys != nil {
 		fp := stateFingerprint(st)
@@ -93,7 +93,7 @@ func (q *quotient) indexOf(schema *program.Schema, st *program.State) int64 {
 			slot = (slot + 1) & q.fpMask
 		}
 	}
-	qid, ok := q.lookupRep(schema.Index(st))
+	qid, ok := q.lookupRep(codec.Encode(st))
 	if !ok {
 		panic(fmt.Sprintf("verify: canonical state %s missing from quotient representative list", st))
 	}
@@ -116,34 +116,35 @@ func (q *quotient) indexOf(schema *program.Schema, st *program.State) int64 {
 // With MapFingerprint the lookup table is then built from the
 // representatives; a 64-bit collision between two of them is refused
 // with a FingerprintCollision naming both states.
-func buildQuotient(ctx context.Context, p *program.Program, opts Options, fullCount int64) (*quotient, error) {
+func buildQuotient(ctx context.Context, p *program.Program, opts Options, codec *program.Codec) (*quotient, error) {
 	sym := opts.Symmetry
 	if sym == nil || sym.Canonicalize == nil {
 		return nil, fmt.Errorf("verify: SpaceQuotient requires a Symmetry (the instance advertises none)")
 	}
+	fullCount := codec.Count()
 	q := &quotient{sym: sym, fullCount: fullCount}
 	span := startPass(opts, PassCanonicalize, 2*fullCount)
 	workers := opts.workers()
 	nChunks := (fullCount + chunkStates - 1) / chunkStates
 	chunkBase := make([]int64, nChunks)
 
-	newScratch := func() []*program.State {
-		scr := make([]*program.State, workers)
-		for i := range scr {
-			scr[i] = p.Schema.NewState()
-		}
-		return scr
+	// Each sweep walks the full product with an odometer and
+	// canonicalizes a copy of the walked state; canonOf returns the
+	// full index of state i's canonical image.
+	scr := newSchemaPairs(p.Schema, workers)
+	canonOf := func(worker int, lo, i int64) int64 {
+		walk, canon := scr[worker].st, scr[worker].tmp
+		sweepInto(codec, lo, i, walk)
+		canon.CopyFrom(walk)
+		sym.Canonicalize(canon)
+		return codec.Encode(canon)
 	}
 
 	// Sweep 1a: per-chunk representative counts.
-	scr := newScratch()
 	err := parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
 		var n int64
 		for i := lo; i < hi; i++ {
-			p.Schema.StateInto(i, st)
-			sym.Canonicalize(st)
-			if p.Schema.Index(st) == i {
+			if canonOf(worker, lo, i) == i {
 				n++
 			}
 		}
@@ -164,12 +165,9 @@ func buildQuotient(ctx context.Context, p *program.Program, opts Options, fullCo
 	// deterministic offset.
 	q.reps = make([]int64, total)
 	err = parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
 		cur := chunkBase[lo/chunkStates]
 		for i := lo; i < hi; i++ {
-			p.Schema.StateInto(i, st)
-			sym.Canonicalize(st)
-			if p.Schema.Index(st) == i {
+			if canonOf(worker, lo, i) == i {
 				q.reps[cur] = i
 				cur++
 			}
@@ -183,11 +181,8 @@ func buildQuotient(ctx context.Context, p *program.Program, opts Options, fullCo
 	q.weights = make([]uint32, total)
 	bad := newWitness()
 	err = parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
 		for i := lo; i < hi; i++ {
-			p.Schema.StateInto(i, st)
-			sym.Canonicalize(st)
-			qid, ok := q.lookupRep(p.Schema.Index(st))
+			qid, ok := q.lookupRep(canonOf(worker, lo, i))
 			if !ok {
 				bad.offer(i, 0)
 				continue

@@ -63,6 +63,11 @@ type Space struct {
 	mode     SpaceMode
 	inS, inT bitset
 	nA       int
+	// codec holds the mixed-radix tables every per-state loop decodes
+	// and encodes through. It lives here, not on the Schema, so it is
+	// dropped with the space: finished job records keep their compiled
+	// program. Derived stage spaces share it by pointer.
+	codec *program.Codec
 	// idx is the CSR transition graph over enabled edges, shared by
 	// pointer with derived stage spaces so its cached reverse index is
 	// built at most once per Check. nil when the edge set exceeds
@@ -109,21 +114,22 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 		return nil, fmt.Errorf("verify: state space of %q too large (%d states, limit %d)",
 			p.Name, fullCount, opts.maxStates())
 	}
+	codec := program.NewCodec(p.Schema)
 	switch opts.SpaceMode {
 	case SpaceFull:
-		return newSpace(ctx, p, S, T, opts, SpaceFull, fullCount, nil, nil)
+		return newSpace(ctx, p, S, T, opts, SpaceFull, codec, nil, nil)
 	case SpaceQuotient:
-		q, err := buildQuotient(ctx, p, opts, fullCount)
+		q, err := buildQuotient(ctx, p, opts, codec)
 		if err != nil {
 			return nil, err
 		}
-		return newSpace(ctx, p, S, T, opts, SpaceQuotient, fullCount, q, nil)
+		return newSpace(ctx, p, S, T, opts, SpaceQuotient, codec, q, nil)
 	case SpaceSpill:
 		arena, err := newSpillArena(opts.SpillDir)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, fullCount, nil, arena)
+		sp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, nil, arena)
 		if err != nil {
 			_ = arena.close()
 			return nil, err
@@ -133,16 +139,16 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 
 	// SpaceAuto: full first; each escalation only triggers when the tier
 	// below failed to materialize its CSR.
-	sp, err := newSpace(ctx, p, S, T, opts, SpaceFull, fullCount, nil, nil)
+	sp, err := newSpace(ctx, p, S, T, opts, SpaceFull, codec, nil, nil)
 	if err != nil || sp.idx != nil {
 		return sp, err
 	}
 	if opts.Symmetry != nil {
-		q, err := buildQuotient(ctx, p, opts, fullCount)
+		q, err := buildQuotient(ctx, p, opts, codec)
 		if err != nil {
 			return nil, err
 		}
-		qsp, err := newSpace(ctx, p, S, T, opts, SpaceQuotient, fullCount, q, nil)
+		qsp, err := newSpace(ctx, p, S, T, opts, SpaceQuotient, codec, q, nil)
 		if err != nil || qsp.idx != nil || opts.SpillDir == "" {
 			return qsp, err
 		}
@@ -150,7 +156,7 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 		if err != nil {
 			return nil, err
 		}
-		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, fullCount, q, arena)
+		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, q, arena)
 		if err != nil {
 			_ = arena.close()
 			return nil, err
@@ -162,7 +168,7 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 		if err != nil {
 			return nil, err
 		}
-		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, fullCount, nil, arena)
+		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, nil, arena)
 		if err != nil {
 			_ = arena.close()
 			return nil, err
@@ -173,16 +179,18 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 }
 
 // newSpace builds one tier: enumerate (over representatives in quotient
-// mode), evaluate S/T, build the CSR (arena-backed in spill mode).
+// mode), evaluate S/T, build the CSR (arena-backed in spill mode). Every
+// tier of one NewSpaceContext call shares the codec built there.
 func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, opts Options,
-	mode SpaceMode, fullCount int64, q *quotient, arena *spillArena) (*Space, error) {
+	mode SpaceMode, codec *program.Codec, q *quotient, arena *spillArena) (*Space, error) {
+	fullCount := codec.Count()
 	count := fullCount
 	if q != nil {
 		count = int64(len(q.reps))
 	}
 	sp := &Space{
 		P: p, S: S, T: T, Count: count, FullCount: fullCount,
-		opts: opts, mode: mode, quot: q,
+		opts: opts, mode: mode, quot: q, codec: codec,
 		arena: arena, ownsArena: arena != nil,
 		nA:  len(p.Actions),
 		inS: newBitset(count),
@@ -194,7 +202,7 @@ func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, 
 	err := parallelRange(ctx, sp.workers(), count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		st := scr[worker]
 		for i := lo; i < hi; i++ {
-			sp.stateInto(i, st)
+			sp.walkInto(lo, i, st)
 			s, t := S.Holds(st), T.Holds(st)
 			if s {
 				sp.inS.set(i)
@@ -270,12 +278,36 @@ func (sp *Space) region(i int64) bool { return sp.inT.get(i) && !sp.inS.get(i) }
 
 // stateInto decodes state index i into st: a straight mixed-radix decode
 // in full/spill mode, an indirection through the representative list in
-// quotient mode. Every pass kernel routes decoding through here.
+// quotient mode. Every pass kernel routes decoding through here or
+// through walkInto.
 func (sp *Space) stateInto(i int64, st *program.State) {
 	if sp.quot != nil {
 		i = sp.quot.reps[i]
 	}
-	sp.P.Schema.StateInto(i, st)
+	sp.codec.Decode(i, st)
+}
+
+// walkInto is stateInto for an ascending sweep over [lo, hi) that
+// visits every state: outside quotient mode it steps the odometer (see
+// sweepInto). Loops that skip states, or write st, use stateInto.
+func (sp *Space) walkInto(lo, i int64, st *program.State) {
+	if sp.quot != nil {
+		sp.stateInto(i, st)
+		return
+	}
+	sweepInto(sp.codec, lo, i, st)
+}
+
+// sweepInto writes full-product state i of an ascending sweep over
+// [lo, hi) into st, which must hold state i-1 when i > lo: only the
+// first state of the range is decoded, every later one is one odometer
+// step, with no division.
+func sweepInto(codec *program.Codec, lo, i int64, st *program.State) {
+	if i == lo {
+		codec.Decode(i, st)
+		return
+	}
+	codec.Next(st)
 }
 
 // indexOf encodes st back to a state index: a straight mixed-radix encode
@@ -285,9 +317,9 @@ func (sp *Space) stateInto(i int64, st *program.State) {
 // still reads raw.
 func (sp *Space) indexOf(st *program.State) int64 {
 	if sp.quot == nil {
-		return sp.P.Schema.Index(st)
+		return sp.codec.Encode(st)
 	}
-	return sp.quot.indexOf(sp.P.Schema, st)
+	return sp.quot.indexOf(sp.codec, st)
 }
 
 // weightOf returns the number of full-product states index i stands for:
@@ -382,7 +414,7 @@ func (sp *Space) evalPred(ctx context.Context, pred *program.Predicate) (bitset,
 	err := parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		st := scr[worker]
 		for i := lo; i < hi; i++ {
-			sp.stateInto(i, st)
+			sp.walkInto(lo, i, st)
 			if pred.Eval(st) {
 				bits.set(i)
 			}
@@ -427,7 +459,7 @@ func (sp *Space) derived(S, T *program.Predicate, inS, inT bitset) *Space {
 	return &Space{
 		P: sp.P, S: S, T: T, Count: sp.Count, FullCount: sp.FullCount,
 		opts: sp.opts, mode: sp.mode, nA: sp.nA, idx: sp.idx,
-		quot: sp.quot, arena: sp.arena,
+		quot: sp.quot, arena: sp.arena, codec: sp.codec,
 		inS: inS, inT: inT,
 	}
 }

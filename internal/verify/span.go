@@ -39,6 +39,7 @@ func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program
 	if !ok || count > opts.maxStates() {
 		return nil, fmt.Errorf("verify: state space too large for fault-span computation (%d states)", count)
 	}
+	codec := program.NewCodec(p.Schema)
 	all := make([]*program.Action, 0, len(p.Actions)+len(faults))
 	all = append(all, p.Actions...)
 	all = append(all, faults...)
@@ -51,7 +52,7 @@ func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program
 	err := parallelRange(ctx, workers, count, opts.Progress, func(worker int, lo, hi int64) {
 		st := scr[worker].st
 		for i := lo; i < hi; i++ {
-			p.Schema.StateInto(i, st)
+			sweepInto(codec, lo, i, st)
 			if init.Holds(st) {
 				inSpan.set(i)
 				lists[worker] = append(lists[worker], i)
@@ -72,13 +73,13 @@ func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program
 		err := parallelRange(ctx, workers, int64(len(frontier)), opts.Progress, func(worker int, lo, hi int64) {
 			st, tmp := scr[worker].st, scr[worker].tmp
 			for w := lo; w < hi; w++ {
-				p.Schema.StateInto(frontier[w], st)
+				codec.Decode(frontier[w], st)
 				for _, a := range all {
 					if !a.Guard(st) {
 						continue
 					}
 					a.ApplyInto(st, tmp)
-					if j := p.Schema.Index(tmp); inSpan.testAndSet(j) {
+					if j := codec.Encode(tmp); inSpan.testAndSet(j) {
 						next[worker] = append(next[worker], j)
 					}
 				}
