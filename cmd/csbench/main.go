@@ -77,7 +77,7 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		jsonOut    = flag.Bool("json", false, "write BENCH_<date>.json with wall times and perf probes")
 		jsonPath   = flag.String("o", "", "override the -json output path")
-		heavy      = flag.Bool("heavy", false, "include the beyond-RAM probes: the 43M-state rotation-quotient ring and the beyond-budget spill-vs-fallback pair (the fallback side alone runs ~1h on one core)")
+		heavy      = flag.Bool("heavy", false, "include the beyond-RAM probes: the 43M-state rotation-quotient ring and the beyond-budget spill-tier metrics run")
 		probesOnly = flag.Bool("probes-only", false, "skip the experiment suite and run only the perf probes (implies -json)")
 		probePat   = flag.String("probe", "", "run only probes whose name contains this substring")
 		probeBest  = flag.Int("probe-best", 1, "repetitions per probe; the fastest run is recorded")
@@ -278,11 +278,10 @@ func fastTargets() ([]probeTarget, error) {
 //   - tokenring-ring-n7k9-quotient: 9^8 = 43,046,721 full states whose
 //     full CSR costs 1.26 GB; the value-rotation quotient checks the same
 //     verdict on 9^7 representatives with ~1/9 the index memory.
-//   - diffusing-binary13-{spill,fallback}: 4^13 = 67,108,864 states whose
-//     full CSR (~3.4 GB) busts the 2 GiB in-RAM budget. The pair runs the
-//     metrics suite — the passes that re-stream the transition graph —
-//     once on mmap'd CSR segments and once on the on-the-fly fallback the
-//     same instance used before the spill tier existed.
+//   - diffusing-binary13-spill-metrics: 4^13 = 67,108,864 states whose
+//     full CSR (~3.4 GB) busts the 2 GiB in-RAM budget. It runs the
+//     metrics suite — the passes that re-stream the transition graph — on
+//     mmap'd CSR segments.
 func heavyTargets() ([]probeTarget, error) {
 	var targets []probeTarget
 
@@ -306,25 +305,15 @@ func heavyTargets() ([]probeTarget, error) {
 		return nil, err
 	}
 	d := diff.Design
-	targets = append(targets,
-		probeTarget{
-			name: "diffusing-binary13-spill-metrics", prog: d.TolerantProgram(), s: d.S, t: d.T,
-			options: []verify.Option{
-				verify.WithSpaceMode(verify.SpaceSpill),
-				verify.WithMetrics(),
-				verify.WithMaxStates(1 << 27),
-			},
-			spill: true,
+	targets = append(targets, probeTarget{
+		name: "diffusing-binary13-spill-metrics", prog: d.TolerantProgram(), s: d.S, t: d.T,
+		options: []verify.Option{
+			verify.WithSpaceMode(verify.SpaceSpill),
+			verify.WithMetrics(),
+			verify.WithMaxStates(1 << 27),
 		},
-		probeTarget{
-			name: "diffusing-binary13-fallback-metrics", prog: d.TolerantProgram(), s: d.S, t: d.T,
-			options: []verify.Option{
-				verify.WithSpaceMode(verify.SpaceFull),
-				verify.WithMetrics(),
-				verify.WithMaxStates(1 << 27),
-			},
-		},
-	)
+		spill: true,
+	})
 	return targets, nil
 }
 

@@ -70,7 +70,7 @@ func main() {
 		checkWorkers = flag.Int("check-workers", 0, "default verify workers per check (0 = all CPUs)")
 		maxStates    = flag.Int64("max-states", 0, "default state-space cap (0 = verify default)")
 		maxDeadline  = flag.Duration("max-deadline", 60*time.Second, "per-job wall-clock budget cap")
-		spillDir     = flag.String("spill-dir", "", "directory for the checker's disk tier (CSR segments, frontier runs) when jobs escalate to spill mode (empty = OS temp dir)")
+		spillDir     = flag.String("spill-dir", "", "directory for the checker's disk tier (CSR segments, frontier runs) when jobs pin or escalate to spill mode (empty = OS temp dir)")
 		cacheSize    = flag.Int("cache", 1024, "content-addressed result cache entries")
 		recordTTL    = flag.Duration("record-ttl", 0, "finished job record retention (0 = 15m default, negative disables the sweep)")
 		storeDir     = flag.String("store", "", "persistent verdict store directory; verdicts survive restarts and warm the cache (empty = memory only)")

@@ -38,7 +38,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "goroutines sharding the checker's passes (0 = all CPUs, 1 = sequential)")
 		maxStates = flag.Int64("max-states", 0, fmt.Sprintf("state-space cap (0 = default %d)", verify.DefaultMaxStates))
 		spaceMode = flag.String("space-mode", "auto", "state-space tier: auto (escalate full -> spill as the instance outgrows RAM) | full | spill (quotient needs a catalog protocol; GCL sources advertise no symmetry)")
-		spillDir  = flag.String("spill-dir", "", "directory for the disk tier's CSR segments and frontier runs (empty = OS temp dir)")
+		spillDir  = flag.String("spill-dir", "", "directory for the disk tier's CSR segments and frontier runs when an instance's CSR outgrows RAM (empty = OS temp dir)")
 		jsonOut   = flag.Bool("json", false, "emit the machine-readable service.Result JSON instead of prose")
 		measure   = flag.Bool("measure", false, "additionally run the quantitative tolerance metrics (distance profile, worst/expected stabilization time, per-constraint recovery costs)")
 		trace     = flag.Bool("trace", false, "print the per-pass span table (states, frontier, wall time) on stderr")

@@ -42,11 +42,13 @@ type JobOptions struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// SpaceMode pins the state-space tier: "auto" (default — escalate from
 	// the full product to a symmetry quotient to disk spill as the instance
-	// outgrows RAM), "full", "quotient", or "spill". "quotient" requires a
-	// catalog instance that advertises a symmetry group and is rejected for
-	// GCL source jobs, for saboteur jobs (the witness search runs on the
-	// concrete graph) and for metrics jobs on layered designs (per-constraint
-	// recovery costs are not symmetry-invariant; see registry.Instance).
+	// outgrows RAM), "full", "quotient", or "spill". "full" and "quotient"
+	// refuse an instance whose CSR exceeds the in-RAM budget. "quotient"
+	// requires a catalog instance that advertises a symmetry group and is
+	// rejected for GCL source jobs, for saboteur jobs (the witness search
+	// runs on the concrete graph) and for metrics jobs on layered designs
+	// (per-constraint recovery costs are not symmetry-invariant; see
+	// registry.Instance).
 	SpaceMode string `json:"space_mode,omitempty"`
 	// Analyses selects what the job computes. "verdict" (the closure /
 	// convergence / classification check) is always on and is the default

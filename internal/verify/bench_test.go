@@ -147,7 +147,7 @@ func BenchmarkCheckMetricsOn(b *testing.B) {
 }
 
 // benchCheckDiffusing1M runs the full Check on the 1M-state diffusing
-// instance, the workload the CSR-vs-fallback comparison is made on.
+// instance.
 func benchCheckDiffusing1M(b *testing.B, options ...verify.Option) {
 	inst, err := diffusing.New(diffusing.Binary(10))
 	if err != nil {
@@ -170,25 +170,16 @@ func benchCheckDiffusing1M(b *testing.B, options ...verify.Option) {
 
 // BenchmarkCheckDiffusingCSR is the default engine: forward CSR built
 // up front, reverse CSR built lazily for the convergence wave. Compare
-// against BenchmarkCheckDiffusingFallback for the index's net win, and
 // against the dense-table baseline recorded in DESIGN.md §6 for the
 // regression guard (the CSR run must not be slower).
 func BenchmarkCheckDiffusingCSR(b *testing.B) { benchCheckDiffusing1M(b) }
 
-// BenchmarkCheckDiffusingFallback forces the on-the-fly successor path
-// (budget too small for any index) — the engine every instance beyond
-// the memory budget runs on.
-func BenchmarkCheckDiffusingFallback(b *testing.B) {
-	defer verify.SetSuccIndexBudget(1)()
-	benchCheckDiffusing1M(b)
-}
-
 // TestCheckBeyondDenseBudget pins the headline capacity win of the CSR
 // rebuild: the token-ring path instance N=7, K=9 has 9^8 = 43,046,721
 // states and 15 actions, so the old dense successor table would need
-// 4·15·9^8 ≈ 2.4 GiB — beyond the 2 GiB budget, forcing the slow
-// fallback. The CSR index stores only enabled edges and fits with room
-// to spare, so the instance now verifies end-to-end on the fast path.
+// 4·15·9^8 ≈ 2.4 GiB — beyond the 2 GiB budget. The CSR index stores
+// only enabled edges and fits with room to spare, so the instance
+// verifies end-to-end on the in-RAM full tier.
 func TestCheckBeyondDenseBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("43M-state end-to-end check (~2 min); skipped in -short mode")
@@ -206,8 +197,8 @@ func TestCheckBeyondDenseBudget(t *testing.T) {
 	if denseBytes <= 1<<31 {
 		t.Fatalf("instance no longer exceeds the dense budget: %d bytes", denseBytes)
 	}
-	if !rep.Space.HasSuccIndex() {
-		t.Fatal("CSR index was not built — instance ran on the fallback")
+	if mode := rep.Space.Mode(); mode != verify.SpaceFull {
+		t.Fatalf("instance ran on %v, want the in-RAM full tier", mode)
 	}
 	edges, bytes := rep.Space.SuccIndexStats()
 	if bytes >= denseBytes/2 {

@@ -71,7 +71,7 @@ func (r *ConvergenceResult) Summary() string {
 		daemon, r.WorstSteps, r.MeanSteps, r.StatesOutsideS)
 }
 
-// stateColors for the DFS passes.
+// stateColors for cycleWitness's DFS.
 const (
 	colorWhite uint8 = iota
 	colorGray
@@ -87,16 +87,12 @@ func (sp *Space) CheckConvergence() *ConvergenceResult {
 	return res
 }
 
-// CheckConvergenceContext is CheckConvergence with cancellation. When the
-// successor index is available it runs the sharded backward fixpoint
-// (checkConvergenceKahn); otherwise it falls back to a sequential DFS.
-// Verdicts and witnesses do not depend on the worker count.
+// CheckConvergenceContext is CheckConvergence with cancellation: the
+// sharded backward fixpoint of checkConvergenceKahn. Verdicts and
+// witnesses do not depend on the worker count.
 func (sp *Space) CheckConvergenceContext(ctx context.Context) (*ConvergenceResult, error) {
-	if sp.idx != nil {
-		res, _, err := sp.checkConvergenceKahn(ctx)
-		return res, err
-	}
-	return sp.checkConvergenceDFS(ctx)
+	res, _, err := sp.checkConvergenceKahn(ctx)
+	return res, err
 }
 
 // checkConvergenceKahn decides arbitrary-daemon convergence by peeling the
@@ -143,7 +139,8 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 	// with no region successors seed the first wave.
 	outstanding := make([]int32, sp.Count)
 	escape, deadlock := newWitness(), newWitness()
-	firstWave := make([][]int64, workers)
+	cur := newFrontierSpool(sp.arena, workers)
+	defer func() { cur.release() }()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
@@ -165,7 +162,7 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 			}
 			outstanding[i] = pending
 			if pending == 0 {
-				firstWave[worker] = append(firstWave[worker], i)
+				cur.add(worker, i)
 			}
 		}
 	})
@@ -196,71 +193,48 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 		return nil, nil, err
 	}
 
-	// Phase 3: wave loop. processWave resolves one batch of wave states
-	// and hands every newly released predecessor to emit; on the spill
-	// tier waves overflow to sorted temp-file runs (frontierSpool), and
-	// processing a wave in sorted batches is sound because no wave member
-	// reads a same-wave steps entry — all its region successors resolved
-	// in strictly earlier waves.
-	wave := flatten(firstWave)
+	// Phase 3: wave loop. Each wave resolves in batches and hands every
+	// newly released predecessor to the next wave's spool; on the spill
+	// tier waves overflow to sorted temp-file runs, and processing a wave
+	// in sorted batches is sound because no wave member reads a same-wave
+	// steps entry — all its region successors resolved in strictly
+	// earlier waves.
 	var resolved int64
-	processWave := func(batch []int64, emit func(worker int, pp int64)) error {
-		return parallelRange(ctx, workers, int64(len(batch)), sp.opts.Progress, func(worker int, lo, hi int64) {
-			for w := lo; w < hi; w++ {
-				i := batch[w]
-				var best int32
-				for _, j := range sp.idx.out(i) {
-					jj := int64(j)
-					if sp.inS.get(jj) {
-						if best < 1 {
-							best = 1
+	for cur.size() > 0 {
+		span.observeFrontier(cur.size())
+		resolved += cur.size()
+		next := newFrontierSpool(sp.arena, workers)
+		err := cur.drain(func(batch []int64) error {
+			return parallelRange(ctx, workers, int64(len(batch)), sp.opts.Progress, func(worker int, lo, hi int64) {
+				for w := lo; w < hi; w++ {
+					i := batch[w]
+					var best int32
+					for _, j := range sp.idx.out(i) {
+						jj := int64(j)
+						if sp.inS.get(jj) {
+							if best < 1 {
+								best = 1
+							}
+						} else if d := steps[jj] + 1; d > best {
+							best = d
 						}
-					} else if d := steps[jj] + 1; d > best {
-						best = d
+					}
+					steps[i] = best
+					for _, p := range revPred[revOff[i]:revOff[i+1]] {
+						pp := int64(p)
+						if !sp.region(pp) {
+							continue
+						}
+						if atomic.AddInt32(&outstanding[pp], -1) == 0 {
+							next.add(worker, pp)
+						}
 					}
 				}
-				steps[i] = best
-				for _, p := range revPred[revOff[i]:revOff[i+1]] {
-					pp := int64(p)
-					if !sp.region(pp) {
-						continue
-					}
-					if atomic.AddInt32(&outstanding[pp], -1) == 0 {
-						emit(worker, pp)
-					}
-				}
-			}
+			})
 		})
-	}
-	if sp.spillFrontiers() {
-		cur := newFrontierSpool(sp.arena, workers)
-		for _, i := range wave {
-			cur.add(0, i)
-		}
-		for cur.size() > 0 {
-			span.observeFrontier(cur.size())
-			resolved += cur.size()
-			next := newFrontierSpool(sp.arena, workers)
-			if err := cur.drain(func(batch []int64) error {
-				return processWave(batch, next.add)
-			}); err != nil {
-				next.release()
-				return nil, nil, err
-			}
-			cur = next
-		}
-		cur.release()
-	} else {
-		for len(wave) > 0 {
-			span.observeFrontier(int64(len(wave)))
-			resolved += int64(len(wave))
-			next := make([][]int64, workers)
-			if err := processWave(wave, func(worker int, pp int64) {
-				next[worker] = append(next[worker], pp)
-			}); err != nil {
-				return nil, nil, err
-			}
-			wave = flatten(next)
+		cur = next
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	// The peel counts representatives; compare against the region's rep
@@ -381,171 +355,6 @@ func (sp *Space) cycleWitness(outstanding []int32) []*program.State {
 	return nil
 }
 
-// checkConvergenceDFS is the sequential fallback used when the successor
-// table is unavailable (state count above int32 range or table over the
-// memory budget): an iterative white/gray/black DFS with postorder
-// worst-step computation.
-func (sp *Space) checkConvergenceDFS(ctx context.Context) (res *ConvergenceResult, err error) {
-	// Total 0: the wave fixpoint processes work items, not states, so the
-	// space size is not a meaningful progress bound.
-	span := startPass(sp.opts, PassConvergeUnfair, 0)
-	defer func() {
-		if err == nil {
-			span.end(sp.Count)
-		}
-	}()
-	res = &ConvergenceResult{Converges: true, StatesT: sp.CountT(), StatesS: sp.CountS()}
-	res.StatesOutsideS = sp.weightedCountAndNot(sp.inT, sp.inS)
-
-	// steps[i]: worst-case number of actions to reach S from i, computed
-	// during the DFS postorder.
-	steps := make([]int32, sp.Count)
-	color := make([]uint8, sp.Count)
-	parent := make([]int64, sp.Count)
-	for i := range parent {
-		parent[i] = -1
-	}
-
-	var succBuf []int64
-	type frame struct {
-		i    int64
-		succ []int64
-		pos  int
-	}
-	var stack []frame
-
-	for start := int64(0); start < sp.Count; start++ {
-		if start&(chunkStates-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if !sp.region(start) || color[start] != colorWhite {
-			continue
-		}
-		color[start] = colorGray
-		stack = append(stack[:0], frame{i: start, succ: sp.successorsChecked(start, res, &succBuf)})
-		if !res.Converges {
-			return res, nil
-		}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.pos == 0 && len(f.succ) == 0 {
-				// Terminal T∧¬S state: maximal finite computation outside S.
-				res.Converges = false
-				res.Deadlock = sp.State(f.i)
-				return res, nil
-			}
-			if f.pos < len(f.succ) {
-				j := f.succ[f.pos]
-				f.pos++
-				if sp.inS.get(j) {
-					if steps[f.i] < 1 {
-						steps[f.i] = 1
-					}
-					continue
-				}
-				switch color[j] {
-				case colorWhite:
-					color[j] = colorGray
-					parent[j] = f.i
-					succs := sp.successorsChecked(j, res, &succBuf)
-					if !res.Converges {
-						return res, nil
-					}
-					// The append may reallocate; f is re-fetched at loop top.
-					stack = append(stack, frame{i: j, succ: succs})
-				case colorGray:
-					// Cycle within T∧¬S: an unfair daemon loops forever.
-					res.Converges = false
-					res.Cycle = sp.reconstructCycle(parent, f.i, j)
-					return res, nil
-				case colorBlack:
-					if d := steps[j] + 1; d > steps[f.i] {
-						steps[f.i] = d
-					}
-				}
-				continue
-			}
-			color[f.i] = colorBlack
-			done := *f
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if d := steps[done.i] + 1; d > steps[p.i] {
-					steps[p.i] = d
-				}
-			}
-		}
-	}
-
-	// Aggregate the exact worst-case metric (orbit-weighted).
-	var sum int64
-	var n int64
-	for i := int64(0); i < sp.Count; i++ {
-		if sp.region(i) {
-			if int(steps[i]) > res.WorstSteps {
-				res.WorstSteps = int(steps[i])
-			}
-			sum += sp.weightOf(i) * int64(steps[i])
-			n += sp.weightOf(i)
-		}
-	}
-	if n > 0 {
-		res.MeanSteps = float64(sum) / float64(n)
-	}
-	return res, nil
-}
-
-// successorsChecked computes the successors of T∧¬S state i, copying them
-// into a fresh slice (the DFS keeps them on its stack), and records a
-// closure escape in res if a successor leaves T.
-func (sp *Space) successorsChecked(i int64, res *ConvergenceResult, buf *[]int64) []int64 {
-	*buf = sp.successors(i, sp.P.Actions, *buf)
-	out := make([]int64, 0, len(*buf))
-	for k, j := range *buf {
-		if !sp.inT.get(j) {
-			st := sp.State(i)
-			var act *program.Action
-			// Recover which action produced successor k.
-			n := 0
-			for _, a := range sp.P.Actions {
-				if a.Guard(st) {
-					if n == k {
-						act = a
-						break
-					}
-					n++
-				}
-			}
-			res.Converges = false
-			res.Escape = &ClosureViolation{Pred: sp.T, State: st, Action: act, Next: sp.State(j)}
-			return nil
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// reconstructCycle walks parent links from `from` back to `to` and returns
-// the cycle's states in forward order, closing with the back edge from→to.
-func (sp *Space) reconstructCycle(parent []int64, from, to int64) []*program.State {
-	var idxs []int64
-	for v := from; v != to; v = parent[v] {
-		idxs = append(idxs, v)
-		if parent[v] < 0 {
-			break
-		}
-	}
-	idxs = append(idxs, to)
-	// Reverse into forward order (to ... from).
-	out := make([]*program.State, len(idxs))
-	for i, j := range idxs {
-		out[len(idxs)-1-i] = sp.State(j)
-	}
-	return out
-}
-
 // CheckFairConvergence decides convergence from T to S under the weakly
 // fair daemon of the paper's computation model (Section 2: "each action in
 // the set that is continuously enabled along the sequence is eventually
@@ -565,9 +374,9 @@ func (sp *Space) CheckFairConvergence() *ConvergenceResult {
 }
 
 // CheckFairConvergenceContext is CheckFairConvergence with cancellation.
-// The region collection and labeled-adjacency build are sharded when the
-// successor table is available; the SCC analysis itself is sequential
-// (component structure is rarely the bottleneck).
+// The region collection and labeled-adjacency build are sharded; the SCC
+// analysis itself is sequential (component structure is rarely the
+// bottleneck).
 func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *ConvergenceResult, err error) {
 	span := startPass(sp.opts, PassConvergeFair, 0)
 	defer func() {
@@ -581,41 +390,25 @@ func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *Converge
 		return res, nil
 	}
 
-	var (
-		region    []int64
-		adj       [][]regionEdge
-		enabledAt func(ai int, v int) bool
-	)
-	if sp.idx != nil {
-		var enabled [][]int32
-		var err error
-		region, adj, enabled, err = sp.buildRegionGraph(ctx, res)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Converges {
-			return res, nil
-		}
-		// enabled[v] is the sorted action-index list behind region[v]'s CSR
-		// edges, materialized by the region-graph build's guard zip.
-		enabledAt = func(ai int, v int) bool {
-			for _, a := range enabled[v] {
-				if int(a) == ai {
-					return true
-				}
-				if int(a) > ai {
-					return false
-				}
+	region, adj, enabled, err := sp.buildRegionGraph(ctx, res)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Converges {
+		return res, nil
+	}
+	// enabled[v] is the sorted action-index list behind region[v]'s CSR
+	// edges, materialized by the region-graph build's guard zip.
+	enabledAt := func(ai int, v int) bool {
+		for _, a := range enabled[v] {
+			if int(a) == ai {
+				return true
 			}
-			return false
+			if int(a) > ai {
+				return false
+			}
 		}
-	} else {
-		if done := sp.buildRegionGraphSeq(res, &region, &adj); done {
-			return res, nil
-		}
-		enabledAt = func(ai int, v int) bool {
-			return sp.P.Actions[ai].Guard(sp.State(region[v]))
-		}
+		return false
 	}
 
 	// Tarjan SCC over the dense region graph (iterative).
@@ -775,48 +568,6 @@ func (sp *Space) buildRegionGraph(ctx context.Context, res *ConvergenceResult) (
 	return region, adj, enabled, nil
 }
 
-// buildRegionGraphSeq is the sequential fallback region-graph builder (no
-// successor table). It returns true when a deadlock or escape already
-// settles the verdict on res.
-func (sp *Space) buildRegionGraphSeq(res *ConvergenceResult, regionOut *[]int64, adjOut *[][]regionEdge) bool {
-	region := make([]int64, 0)
-	inRegion := make(map[int64]int) // state index -> dense id
-	for i := int64(0); i < sp.Count; i++ {
-		if sp.region(i) {
-			inRegion[i] = len(region)
-			region = append(region, i)
-		}
-	}
-	adj := make([][]regionEdge, len(region))
-	for id, i := range region {
-		st := sp.State(i)
-		any := false
-		for ai, a := range sp.P.Actions {
-			if !a.Guard(st) {
-				continue
-			}
-			any = true
-			j := sp.indexOf(a.Apply(st))
-			if !sp.inT.get(j) {
-				res.Converges = false
-				res.Escape = &ClosureViolation{Pred: sp.T, State: st, Action: a, Next: sp.State(j)}
-				return true
-			}
-			if sp.inS.get(j) {
-				continue
-			}
-			adj[id] = append(adj[id], regionEdge{to: inRegion[j], action: ai})
-		}
-		if !any {
-			res.Converges = false
-			res.Deadlock = st
-			return true
-		}
-	}
-	*regionOut, *adjOut = region, adj
-	return false
-}
-
 // regionEdge is a transition within the T∧¬S region, labeled with the
 // index of the program action that produces it.
 type regionEdge struct {
@@ -911,11 +662,10 @@ func (sp *Space) WorstDistances() ([]int32, bool) {
 	return d, ok
 }
 
-// WorstDistancesContext is WorstDistances with cancellation. With the
-// successor table available the distances fall out of the sharded
-// fixpoint; otherwise a sequential memoized DFS recomputes them. The
-// table is cached on the space: the metrics passes, the adversarial
-// daemon, and repeat callers all share one computation.
+// WorstDistancesContext is WorstDistances with cancellation. The
+// distances fall out of the sharded fixpoint, and the table is cached on
+// the space: the metrics passes, the adversarial daemon, and repeat
+// callers all share one computation.
 func (sp *Space) WorstDistancesContext(ctx context.Context) ([]int32, bool, error) {
 	sp.stepsMu.Lock()
 	defer sp.stepsMu.Unlock()
@@ -931,65 +681,12 @@ func (sp *Space) WorstDistancesContext(ctx context.Context) ([]int32, bool, erro
 }
 
 func (sp *Space) worstDistancesLocked(ctx context.Context) ([]int32, bool, error) {
-	if sp.idx != nil {
-		res, steps, err := sp.checkConvergenceKahn(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !res.Converges {
-			return nil, false, nil
-		}
-		return steps, true, nil
-	}
-	res, err := sp.checkConvergenceDFS(ctx)
+	res, steps, err := sp.checkConvergenceKahn(ctx)
 	if err != nil {
 		return nil, false, err
 	}
 	if !res.Converges {
 		return nil, false, nil
-	}
-	steps := make([]int32, sp.Count)
-	// Recompute via memoized DFS; the convergence check verified
-	// acyclicity, so a simple postorder works.
-	const todo = -1
-	for i := range steps {
-		steps[i] = todo
-	}
-	var visit func(i int64) int32
-	visit = func(i int64) int32 {
-		if sp.inS.get(i) || !sp.inT.get(i) {
-			return 0
-		}
-		if steps[i] != todo {
-			return steps[i]
-		}
-		var best int32
-		st := sp.State(i)
-		for _, a := range sp.P.Actions {
-			if !a.Guard(st) {
-				continue
-			}
-			j := sp.indexOf(a.Apply(st))
-			d := int32(1)
-			if !sp.inS.get(j) {
-				d = 1 + visit(j)
-			}
-			if d > best {
-				best = d
-			}
-		}
-		steps[i] = best
-		return best
-	}
-	for i := int64(0); i < sp.Count; i++ {
-		if sp.region(i) && steps[i] == todo {
-			visit(i)
-		}
-	}
-	for i := range steps {
-		if steps[i] == todo {
-			steps[i] = 0
-		}
 	}
 	return steps, true, nil
 }

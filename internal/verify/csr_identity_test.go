@@ -83,7 +83,7 @@ func csrModels(t *testing.T) map[string]csrModel {
 // TestForwardCSRMatchesReferenceEncoder pins the engine's forward CSR —
 // offsets and edges, byte for byte — to the reference encoder, on the
 // full and spill tiers at one and four workers. The metamorphic suites
-// compare verdicts only, and their fallback arm shares the engine's
+// compare verdicts only, and every tier they compare shares the engine's
 // codec; this comparison does not.
 func TestForwardCSRMatchesReferenceEncoder(t *testing.T) {
 	ctx := context.Background()

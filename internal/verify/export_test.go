@@ -6,26 +6,22 @@ import (
 	"nonmask/internal/program"
 )
 
-// SetSuccIndexBudget overrides the successor-index memory budget for the
-// duration of a test, returning a restore function. A tiny budget forces
-// every pass through the on-the-fly fallback, which is how the metamorphic
-// and benchmark suites pin CSR-vs-fallback agreement.
+// SetSuccIndexBudget overrides the in-RAM CSR budget for the duration of
+// a test, returning a restore function. A tiny budget refuses every
+// in-RAM tier, so SpaceAuto escalates to the spill tier and a forced
+// SpaceFull fails; the metamorphic suites pin that escalation.
 func SetSuccIndexBudget(b int64) (restore func()) {
 	old := succIndexBudget
 	succIndexBudget = b
 	return func() { succIndexBudget = old }
 }
 
-// HasSuccIndex reports whether the space materialized its CSR successor
-// index (false means the passes run on the on-the-fly fallback).
-func (sp *Space) HasSuccIndex() bool { return sp.idx != nil }
+// CSRFits exposes the CSR addressing-limit check for synthetic counts.
+func CSRFits(count, edges int64) error { return csrFits(count, edges) }
 
 // SuccIndexStats returns the enabled-edge count and byte size of the
-// forward CSR index, or zeros when it was not built.
+// forward CSR index.
 func (sp *Space) SuccIndexStats() (edges, bytes int64) {
-	if sp.idx == nil {
-		return 0, 0
-	}
 	return sp.idx.numEdges(), sp.idx.fwdBytes()
 }
 
@@ -67,11 +63,11 @@ func (sp *Space) ReverseIndex() (revOff []uint32, revPred []int32, err error) {
 func SweepSpillDir(dir string) { sweepSpillLeftovers(dir) }
 
 // ForwardCSR exposes the forward CSR arrays (offsets and edges) for
-// byte-identity assertions against an independent encoder; both are nil
-// when the space has no successor index.
+// byte-identity assertions against an independent encoder.
 func (sp *Space) ForwardCSR() (offsets []uint32, edges []int32) {
-	if sp.idx == nil {
-		return nil, nil
-	}
 	return sp.idx.offsets, sp.idx.edges
 }
+
+// RandomProgram exposes the metatheorem suite's random transition-system
+// generator to the external test package.
+var RandomProgram = randomProgram

@@ -2,6 +2,8 @@ package verify
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -10,19 +12,36 @@ import (
 	"nonmask/internal/program"
 )
 
-// succIndexBudget caps the memory spent on each precomputed transition
-// index (the forward CSR, and separately the reverse CSR mirroring it).
-// Unlike the old dense per-action table, the budget is charged against the
-// *actual* enabled-edge count E discovered by the counting sweep:
+// succIndexBudget caps the memory spent on each in-RAM transition index
+// (the forward CSR, and separately the reverse CSR mirroring it). The
+// budget is charged against the *actual* enabled-edge count E discovered
+// by the counting sweep:
 //
 //	forward bytes = 4·(Count+1) + 4·E   (uint32 offsets + int32 targets)
 //
-// Above the budget (or above int32 state indices) the passes fall back to
-// recomputing successors on the fly — unless the space runs on the spill
-// tier, where the arrays live in mmap'd segment files and the budget is
-// the disk's. A var rather than a const so tests can force the fallback
-// (see export_test.go).
+// An in-RAM tier above it is refused with errOverBudget, which is the
+// SpaceAuto ladder's cue to escalate; the spill tier keeps its arrays in
+// mmap'd segment files and is bounded by the disk instead. A var rather
+// than a const so tests can force the escalation (see export_test.go).
 var succIndexBudget = int64(1) << 31 // 2 GiB per index
+
+// errOverBudget marks an in-RAM tier refused because its measured CSR
+// busts succIndexBudget.
+var errOverBudget = errors.New("verify: CSR over the in-RAM budget")
+
+// csrFits refuses a CSR its fixed-width arrays cannot address: state ids
+// are int32, and forward and reverse offsets are uint32 positions in an
+// edge array of E entries. Past either limit the fill would truncate
+// silently into a corrupt graph.
+func csrFits(count, edges int64) error {
+	if count > math.MaxInt32 {
+		return fmt.Errorf("verify: %d states exceed the CSR's int32 state ids", count)
+	}
+	if edges > math.MaxUint32 {
+		return fmt.Errorf("verify: %d edges exceed the CSR's uint32 offsets", edges)
+	}
+	return nil
+}
 
 // predScatterDensity is the guard density (E / (Count·nA)) above which
 // the in-RAM reverse-CSR build switches from the partitioned counting
@@ -78,18 +97,12 @@ func (g *succIndex) fwdBytes() int64 {
 // per-edge atomics: sweep 1 counts enabled guards per chunk, a sequential
 // prefix sum over the per-chunk totals assigns each chunk a disjoint slice
 // of the edge array, and sweep 2 fills offsets and edges with a per-chunk
-// local cursor. The index is skipped (passes then recompute successors on
-// the fly) when state indices overflow int32 or the edge array would bust
-// succIndexBudget — a decision made from the measured edge count, not from
-// Count × nA. On the spill tier the budget does not apply: the arrays are
-// allocated as mmap'd segment files, filled, and sealed read-only.
+// local cursor. Between the sweeps the measured edge count decides: an
+// in-RAM tier over succIndexBudget is refused with errOverBudget, and any
+// tier past the limits of csrFits with a plain error. On the spill tier
+// the arrays are allocated as mmap'd segment files, filled, and sealed
+// read-only.
 func (sp *Space) buildSuccIndex(ctx context.Context) error {
-	if sp.Count > math.MaxInt32 {
-		return nil
-	}
-	if sp.arena == nil && 4*(sp.Count+1) > succIndexBudget {
-		return nil
-	}
 	// The progress hint is 2·Count: the counting sweep and the fill sweep
 	// each visit every state once.
 	span := startPass(sp.opts, PassSuccTable, 2*sp.Count)
@@ -117,11 +130,15 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	for c := range chunkBase {
 		chunkBase[c], total = total, total+chunkBase[c]
 	}
-	if sp.arena == nil && 4*(sp.Count+1)+4*total > succIndexBudget {
-		// Over budget: surface the measured edge count on the span (bytes 0
-		// = nothing materialized) and leave the space index-free.
+	if bytes := 4*(sp.Count+1) + 4*total; sp.arena == nil && bytes > succIndexBudget {
+		// Surface the measured edge count on the span (bytes 0 = nothing
+		// materialized) before refusing the tier.
 		span.endSized(sp.Count, total, 0)
-		return nil
+		return fmt.Errorf("%w: %d edges over %d states need %d bytes, budget %d",
+			errOverBudget, total, sp.Count, bytes, succIndexBudget)
+	}
+	if err := csrFits(sp.Count, total); err != nil {
+		return err
 	}
 	g := &succIndex{}
 	if sp.arena != nil {

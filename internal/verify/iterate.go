@@ -12,46 +12,33 @@ import (
 // so one cursor amortizes decoding allocations across many calls; cursors
 // are not safe for concurrent use, give each goroutine its own.
 type SuccCursor struct {
-	sp      *Space
-	st, tmp *program.State
+	sp *Space
+	st *program.State
 }
 
 // NewSuccCursor returns a cursor over this space's transition graph.
 func (sp *Space) NewSuccCursor() *SuccCursor {
-	return &SuccCursor{sp: sp, st: sp.P.Schema.NewState(), tmp: sp.P.Schema.NewState()}
+	return &SuccCursor{sp: sp, st: sp.P.Schema.NewState()}
 }
 
 // ForEach invokes fn(a, j) for every enabled action a of state i and the
 // successor index j it produces, in action-declaration order (the order
-// the CSR stores edges in). fn returning false stops the iteration. When
-// the CSR index is present the successor indices are read from it and the
-// guards are rescanned only to recover action identity — the same zip the
-// convergence passes use; without the index the successors are recomputed
-// through the scratch pair.
+// the CSR stores edges in). fn returning false stops the iteration. The
+// successor indices are read from the CSR and the guards are rescanned
+// only to recover action identity — the same zip the convergence passes
+// use.
 func (c *SuccCursor) ForEach(i int64, fn func(a *program.Action, j int64) bool) {
 	sp := c.sp
 	sp.stateInto(i, c.st)
-	if sp.idx != nil {
-		row := sp.idx.out(i)
-		rank := 0
-		for _, a := range sp.P.Actions {
-			if !a.Guard(c.st) {
-				continue
-			}
-			j := int64(row[rank])
-			rank++
-			if !fn(a, j) {
-				return
-			}
-		}
-		return
-	}
+	row := sp.idx.out(i)
+	rank := 0
 	for _, a := range sp.P.Actions {
 		if !a.Guard(c.st) {
 			continue
 		}
-		a.ApplyInto(c.st, c.tmp)
-		if !fn(a, sp.indexOf(c.tmp)) {
+		j := int64(row[rank])
+		rank++
+		if !fn(a, j) {
 			return
 		}
 	}

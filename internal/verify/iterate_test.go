@@ -2,6 +2,8 @@ package verify_test
 
 import (
 	"context"
+	"os"
+	"reflect"
 	"testing"
 
 	"nonmask/internal/program"
@@ -10,10 +12,10 @@ import (
 )
 
 // TestSuccCursorAgreesWithGraph drives the exported schedule-constrained
-// iteration over every state of a catalog instance, on both the CSR path
-// and the forced fallback, and requires identical (action, successor)
-// sequences — and that each reported edge is what the action's own
-// guard/apply semantics produce.
+// iteration over every state of a catalog instance, on the in-RAM CSR and
+// on the spill tier the auto ladder escalates to, and requires identical
+// (action, successor) sequences — and that each reported edge is what the
+// action's own guard/apply semantics produce.
 func TestSuccCursorAgreesWithGraph(t *testing.T) {
 	inst, err := registry.Build("tokenring-ring", registry.Params{N: 3, K: 4})
 	if err != nil {
@@ -59,31 +61,31 @@ func TestSuccCursorAgreesWithGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp.HasSuccIndex() {
-		t.Fatal("expected the CSR index on the baseline space")
+	if sp.Mode() != verify.SpaceFull {
+		t.Fatalf("baseline space on %v, want full", sp.Mode())
 	}
 	csr := collect(sp)
 	verifyEdges(sp, csr)
 
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
 	restore := verify.SetSuccIndexBudget(1)
 	defer restore()
-	fb, err := verify.NewSpaceContext(ctx, inst.Program, inst.S, program.True(), verify.Options{})
+	spill, err := verify.NewSpaceContext(ctx, inst.Program, inst.S, program.True(), verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.HasSuccIndex() {
-		t.Fatal("tiny budget should force the fallback")
+	if spill.Mode() != verify.SpaceSpill {
+		t.Fatalf("auto over budget landed on %v, want spill", spill.Mode())
 	}
-	fallback := collect(fb)
-	for i := range csr {
-		if len(csr[i]) != len(fallback[i]) {
-			t.Fatalf("state %d: CSR has %d edges, fallback %d", i, len(csr[i]), len(fallback[i]))
-		}
-		for n := range csr[i] {
-			if csr[i][n] != fallback[i][n] {
-				t.Fatalf("state %d edge %d: CSR %v != fallback %v", i, n, csr[i][n], fallback[i][n])
-			}
-		}
+	if got := collect(spill); !reflect.DeepEqual(csr, got) {
+		t.Fatal("cursor edges on the spill tier differ from the in-RAM CSR")
+	}
+	if err := spill.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("spill dir after Close: %v entries, err %v", len(ents), err)
 	}
 
 	// ForEach must stop when fn returns false.

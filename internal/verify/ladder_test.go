@@ -9,8 +9,10 @@ package verify_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -192,6 +194,65 @@ func TestFingerprintCollisionRefusal(t *testing.T) {
 	}
 	if !rep.Unfair.Converges {
 		t.Fatal("ring must converge")
+	}
+}
+
+// TestCSRLimits pins the CSR's addressing limits on synthetic counts:
+// int32 state ids and uint32 offsets. A tier past either is refused with
+// the offending count named, never truncated into a corrupt graph.
+func TestCSRLimits(t *testing.T) {
+	for _, c := range []struct {
+		count, edges int64
+		want         string // "" = fits
+	}{
+		{math.MaxInt32, math.MaxUint32, ""},
+		{math.MaxInt32 + 1, 0, "2147483648 states"},
+		{1 << 20, math.MaxUint32 + 1, "4294967296 edges"},
+	} {
+		err := verify.CSRFits(c.count, c.edges)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("CSRFits(%d, %d) = %v, want nil", c.count, c.edges, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CSRFits(%d, %d) = %v, want an error naming %q", c.count, c.edges, err, c.want)
+		}
+	}
+}
+
+// TestOverBudgetRefusal pins the two ways an over-budget CSR fails
+// instead of escalating: a forced full tier, and an auto ladder whose
+// spill rung cannot open its arena. Both errors name the measured edge
+// count and the budget.
+func TestOverBudgetRefusal(t *testing.T) {
+	inst, err := tokenring.NewRing(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, err := verify.Check(ctx, inst.P, inst.S, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, _ := base.Space.SuccIndexStats()
+	wantEdges := strconv.FormatInt(edges, 10) + " edges"
+
+	defer verify.SetSuccIndexBudget(1)()
+	_, err = verify.Check(ctx, inst.P, inst.S, nil, verify.WithSpaceMode(verify.SpaceFull))
+	if err == nil || !strings.Contains(err.Error(), wantEdges) || !strings.Contains(err.Error(), "budget 1") {
+		t.Fatalf("forced full over budget: got %v, want a refusal naming %q and the budget", err, wantEdges)
+	}
+
+	// A spill dir beneath a regular file cannot be created.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err = verify.Check(ctx, inst.P, inst.S, nil, verify.WithSpillDir(filepath.Join(file, "spill")))
+	if err == nil || !strings.Contains(err.Error(), wantEdges) || !strings.Contains(err.Error(), "spill dir") {
+		t.Fatalf("auto with no usable spill dir: got %v, want a refusal naming %q and the arena error", err, wantEdges)
 	}
 }
 

@@ -20,22 +20,10 @@ type LeadsToResult struct {
 }
 
 // forEachSucc invokes fn(j) for every enabled successor index j of state
-// i, reading the CSR edge list when the index is present and recomputing
-// through the scratch pair otherwise.
-func (sp *Space) forEachSucc(i int64, scr statePair, fn func(j int64)) {
-	if sp.idx != nil {
-		for _, j := range sp.idx.out(i) {
-			fn(int64(j))
-		}
-		return
-	}
-	sp.stateInto(i, scr.st)
-	for _, a := range sp.P.Actions {
-		if !a.Guard(scr.st) {
-			continue
-		}
-		a.ApplyInto(scr.st, scr.tmp)
-		fn(sp.indexOf(scr.tmp))
+// i, in action order.
+func (sp *Space) forEachSucc(i int64, fn func(j int64)) {
+	for _, j := range sp.idx.out(i) {
+		fn(int64(j))
 	}
 }
 
@@ -77,7 +65,6 @@ func (sp *Space) LeadsToContext(ctx context.Context, p, q *program.Predicate, fa
 	// immediately done), then run forward reachability stopping at
 	// q-states and region exits.
 	workers := sp.workers()
-	scr := sp.newStatePairs()
 	reach := newBitset(sp.Count)
 	lists := make([][]int64, workers)
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
@@ -98,7 +85,7 @@ func (sp *Space) LeadsToContext(ctx context.Context, p, q *program.Predicate, fa
 		next := make([][]int64, workers)
 		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
 			for w := lo; w < hi; w++ {
-				sp.forEachSucc(frontier[w], scr[worker], func(j int64) {
+				sp.forEachSucc(frontier[w], func(j int64) {
 					if !sp.inT.get(j) {
 						return // leaving the region ends the obligation
 					}
@@ -129,7 +116,7 @@ func (sp *Space) LeadsToContext(ctx context.Context, p, q *program.Predicate, fa
 	stageS := newBitset(sp.Count)
 	err = parallelRange(ctx, workers, int64(len(reached)), sp.opts.Progress, func(worker int, lo, hi int64) {
 		for w := lo; w < hi; w++ {
-			sp.forEachSucc(reached[w], scr[worker], func(j int64) {
+			sp.forEachSucc(reached[w], func(j int64) {
 				if !reach.get(j) {
 					stageS.testAndSet(j)
 				}

@@ -25,10 +25,10 @@ import (
 //	constraint costs:   for each conjunct of the invariant, the worst-case
 //	                    number of steps until it holds and stays held.
 //
-// All three are deterministic: identical for every worker count and for
-// the CSR engine vs the on-the-fly fallback. Integer aggregates make that
-// trivial; the floating-point ones fix the summation order (per-state
-// sums in action order, per-chunk partials folded in chunk order).
+// All three are deterministic: identical for every worker count and on
+// every space tier. Integer aggregates make that trivial; the
+// floating-point ones fix the summation order (per-state sums in action
+// order, per-chunk partials folded in chunk order).
 
 // ConstraintSpec names one conjunct of the invariant for the
 // per-constraint recovery-cost pass. Registry protocols derive specs from
@@ -170,8 +170,8 @@ const expectedIterCap = 100_000
 // given; callers holding a Report can also invoke it directly on
 // Report.Space (passes keep recording into the report's collector).
 //
-// Every number is identical for every worker count and for the CSR engine
-// vs the on-the-fly fallback.
+// Every number is identical for every worker count and on every space
+// tier.
 func (sp *Space) MetricsContext(ctx context.Context, constraints []ConstraintSpec) (*ToleranceMetrics, error) {
 	m := &ToleranceMetrics{}
 	dist, err := sp.distanceProfile(ctx, m)
@@ -208,10 +208,12 @@ func (sp *Space) DistancesContext(ctx context.Context) ([]int32, error) {
 
 // distanceProfile computes, for every T state, the length of the shortest
 // action path to S (0 for S states, -1 when S is unreachable), and folds
-// the per-distance counts into m. With the CSR available it is a
-// level-synchronized multi-source BFS from S over the reverse index;
-// without it, a round-based relaxation sweep (round r resolves exactly
-// the states at distance r, so both engines produce the same table).
+// the per-distance counts into m. It is a level-synchronized multi-source
+// BFS from S over the reverse CSR. visited claims region states
+// atomically, so a state reached through several edges of the same level
+// lands in exactly one worker's spool (and batching a level is safe —
+// expansion never reads dist). On the spill tier levels overflow to
+// sorted temp-file runs.
 func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]int32, error) {
 	span := startPass(sp.opts, PassDistanceProfile, 0)
 	workers := sp.workers()
@@ -219,37 +221,35 @@ func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]in
 	for i := range dist {
 		dist[i] = -1
 	}
+	revOff, revPred, err := sp.predIndex(ctx)
+	if err != nil {
+		return nil, err
+	}
 
 	// Distance 0: the invariant itself (S ⊆ T by space construction).
-	seed := make([][]int64, workers)
-	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+	cur := newFrontierSpool(sp.arena, workers)
+	defer func() { cur.release() }()
+	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if sp.inS.get(i) {
 				dist[i] = 0
-				seed[worker] = append(seed[worker], i)
+				cur.add(worker, i)
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	frontier := flatten(seed)
-	m.Profile = append(m.Profile, sp.weightedLen(frontier))
+	m.Profile = append(m.Profile, sp.CountS())
 
-	if sp.idx != nil {
-		// Backward BFS over the reverse CSR. visited claims region states
-		// atomically, so a state reached through several edges of the same
-		// wave lands in exactly one worker's next-list (and batching a
-		// level is safe — expansion never reads dist). On the spill tier
-		// levels overflow to sorted temp-file runs.
-		revOff, revPred, err := sp.predIndex(ctx)
-		if err != nil {
-			return nil, err
-		}
-		visited := newBitset(sp.Count)
-		level := int32(0)
-		expand := func(batch []int64, emit func(worker int, pp int64)) error {
+	visited := newBitset(sp.Count)
+	for level := int32(1); cur.size() > 0; level++ {
+		span.observeFrontier(cur.size())
+		next := newFrontierSpool(sp.arena, workers)
+		weights := make([]int64, workers)
+		err := cur.drain(func(batch []int64) error {
 			return parallelRange(ctx, workers, int64(len(batch)), sp.opts.Progress, func(worker int, lo, hi int64) {
+				var lw int64
 				for w := lo; w < hi; w++ {
 					j := batch[w]
 					for _, p := range revPred[revOff[j]:revOff[j+1]] {
@@ -258,95 +258,23 @@ func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]in
 							continue
 						}
 						dist[pp] = level
-						emit(worker, pp)
-					}
-				}
-			})
-		}
-		if sp.spillFrontiers() {
-			cur := newFrontierSpool(sp.arena, workers)
-			for _, i := range frontier {
-				cur.add(0, i)
-			}
-			for cur.size() > 0 {
-				span.observeFrontier(cur.size())
-				level++
-				next := newFrontierSpool(sp.arena, workers)
-				weights := make([]int64, workers)
-				if err := cur.drain(func(batch []int64) error {
-					return expand(batch, func(worker int, pp int64) {
 						next.add(worker, pp)
-						weights[worker] += sp.weightOf(pp)
-					})
-				}); err != nil {
-					next.release()
-					return nil, err
-				}
-				if next.size() > 0 {
-					var lw int64
-					for _, w := range weights {
-						lw += w
-					}
-					m.Profile = append(m.Profile, lw)
-				}
-				cur = next
-			}
-			cur.release()
-		} else {
-			for len(frontier) > 0 {
-				span.observeFrontier(int64(len(frontier)))
-				level++
-				next := make([][]int64, workers)
-				if err := expand(frontier, func(worker int, pp int64) {
-					next[worker] = append(next[worker], pp)
-				}); err != nil {
-					return nil, err
-				}
-				frontier = flatten(next)
-				if len(frontier) > 0 {
-					m.Profile = append(m.Profile, sp.weightedLen(frontier))
-				}
-			}
-		}
-	} else {
-		// Round-based fallback: at the start of round r every state at
-		// distance < r is resolved and no other, so a region state with any
-		// resolved successor has distance exactly r. Newly resolved states
-		// are applied after the scan so a round never reads its own writes.
-		scr := sp.newStatePairs()
-		for level := int32(1); ; level++ {
-			found := make([][]int64, workers)
-			err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-				st, tmp := scr[worker].st, scr[worker].tmp
-				for i := lo; i < hi; i++ {
-					if !sp.region(i) || dist[i] >= 0 {
-						continue
-					}
-					sp.stateInto(i, st)
-					for _, a := range sp.P.Actions {
-						if !a.Guard(st) {
-							continue
-						}
-						a.ApplyInto(st, tmp)
-						if dist[sp.indexOf(tmp)] >= 0 {
-							found[worker] = append(found[worker], i)
-							break
-						}
+						lw += sp.weightOf(pp)
 					}
 				}
+				weights[worker] += lw
 			})
-			if err != nil {
-				return nil, err
+		})
+		cur = next
+		if err != nil {
+			return nil, err
+		}
+		if cur.size() > 0 {
+			var lw int64
+			for _, w := range weights {
+				lw += w
 			}
-			resolved := flatten(found)
-			if len(resolved) == 0 {
-				break
-			}
-			span.observeFrontier(int64(len(resolved)))
-			for _, i := range resolved {
-				dist[i] = level
-			}
-			m.Profile = append(m.Profile, sp.weightedLen(resolved))
+			m.Profile = append(m.Profile, lw)
 		}
 	}
 
@@ -410,7 +338,7 @@ func (sp *Space) worstMetrics(ctx context.Context, m *ToleranceMetrics) error {
 // single worker, sweeps are synchronous (new values never feed the sweep
 // that computes them), the residual is an order-independent max, and the
 // mean folds per-chunk partial sums in chunk order — so the result is
-// bit-identical for every worker count and for CSR vs fallback.
+// bit-identical for every worker count and on every space tier.
 func (sp *Space) expectedSteps(ctx context.Context, dist []int32, m *ToleranceMetrics) error {
 	region := countAndNot(sp.inT, sp.inS)
 	if region == 0 {
@@ -442,44 +370,23 @@ func (sp *Space) expectedSteps(ctx context.Context, dist []int32, m *ToleranceMe
 	next := make([]float64, sp.Count)
 	nChunks := (sp.Count + chunkStates - 1) / chunkStates
 	resid := make([]float64, nChunks)
-	var scr []statePair
-	if sp.idx == nil {
-		scr = sp.newStatePairs()
-	}
 	iters := 0
 	for iters < expectedIterCap {
 		iters++
-		err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+		err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
 			var worstDelta float64
 			for i := lo; i < hi; i++ {
 				if !measured(i) {
 					continue
 				}
 				var sum float64
-				var deg int
-				if sp.idx != nil {
-					row := sp.idx.out(i)
-					deg = len(row)
-					for _, j := range row {
-						if !sp.inS.get(int64(j)) {
-							sum += cur[j]
-						}
-					}
-				} else {
-					st, tmp := scr[worker].st, scr[worker].tmp
-					sp.stateInto(i, st)
-					for _, a := range sp.P.Actions {
-						if !a.Guard(st) {
-							continue
-						}
-						deg++
-						a.ApplyInto(st, tmp)
-						if j := sp.indexOf(tmp); !sp.inS.get(j) {
-							sum += cur[j]
-						}
+				row := sp.idx.out(i)
+				for _, j := range row {
+					if !sp.inS.get(int64(j)) {
+						sum += cur[j]
 					}
 				}
-				v := 1 + sum/float64(deg)
+				v := 1 + sum/float64(len(row))
 				next[i] = v
 				if d := v - cur[i]; d > worstDelta {
 					worstDelta = d
@@ -556,10 +463,6 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 	// Seeds: unreachable region states, and region states with a successor
 	// outside T (an escape counts as never recovering within the span).
 	seedLists := make([][]int64, workers)
-	var scr []statePair
-	if sp.idx == nil {
-		scr = sp.newStatePairs()
-	}
 	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
@@ -567,34 +470,14 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 			}
 			bad := dist[i] < 0
 			if !bad {
-				if sp.idx != nil {
-					row := sp.idx.out(i)
-					if len(row) == 0 {
+				row := sp.idx.out(i)
+				if len(row) == 0 {
+					bad = true
+				}
+				for _, j := range row {
+					if !sp.inT.get(int64(j)) {
 						bad = true
-					}
-					for _, j := range row {
-						if !sp.inT.get(int64(j)) {
-							bad = true
-							break
-						}
-					}
-				} else {
-					st, tmp := scr[worker].st, scr[worker].tmp
-					sp.stateInto(i, st)
-					enabled := false
-					for _, a := range sp.P.Actions {
-						if !a.Guard(st) {
-							continue
-						}
-						enabled = true
-						a.ApplyInto(st, tmp)
-						if !sp.inT.get(sp.indexOf(tmp)) {
-							bad = true
-							break
-						}
-					}
-					if !enabled {
-						bad = true
+						break
 					}
 				}
 			}
@@ -611,50 +494,19 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 		return doomed, nil
 	}
 
-	if sp.idx != nil {
-		revOff, revPred, err := sp.predIndex(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for len(frontier) > 0 {
-			next := make([][]int64, workers)
-			err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
-				for w := lo; w < hi; w++ {
-					j := frontier[w]
-					for _, p := range revPred[revOff[j]:revOff[j+1]] {
-						pp := int64(p)
-						if sp.region(pp) && doomed.testAndSet(pp) {
-							next[worker] = append(next[worker], pp)
-						}
-					}
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			frontier = flatten(next)
-		}
-		return doomed, nil
+	revOff, revPred, err := sp.predIndex(ctx)
+	if err != nil {
+		return nil, err
 	}
-
-	// Fallback: round-based forward relaxation to the same fixpoint.
-	for {
-		found := make([][]int64, workers)
-		err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-			st, tmp := scr[worker].st, scr[worker].tmp
-			for i := lo; i < hi; i++ {
-				if !sp.region(i) || doomed.get(i) {
-					continue
-				}
-				sp.stateInto(i, st)
-				for _, a := range sp.P.Actions {
-					if !a.Guard(st) {
-						continue
-					}
-					a.ApplyInto(st, tmp)
-					if doomed.get(sp.indexOf(tmp)) {
-						found[worker] = append(found[worker], i)
-						break
+	for len(frontier) > 0 {
+		next := make([][]int64, workers)
+		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
+			for w := lo; w < hi; w++ {
+				j := frontier[w]
+				for _, p := range revPred[revOff[j]:revOff[j+1]] {
+					pp := int64(p)
+					if sp.region(pp) && doomed.testAndSet(pp) {
+						next[worker] = append(next[worker], pp)
 					}
 				}
 			}
@@ -662,14 +514,9 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 		if err != nil {
 			return nil, err
 		}
-		grown := flatten(found)
-		if len(grown) == 0 {
-			return doomed, nil
-		}
-		for _, i := range grown {
-			doomed.set(i)
-		}
+		frontier = flatten(next)
 	}
+	return doomed, nil
 }
 
 // constraintCost measures how long faults can keep one invariant conjunct
@@ -705,13 +552,7 @@ func (sp *Space) constraintCost(ctx context.Context, spec ConstraintSpec) (Const
 	pred := program.NewPredicate(name, nil, func(st *program.State) bool {
 		return stable.get(sp.indexOf(st))
 	})
-	ds := sp.derived(pred, sp.T, stable, sp.inT)
-	var res *ConvergenceResult
-	if sp.idx != nil {
-		res, _, err = ds.checkConvergenceKahn(ctx)
-	} else {
-		res, err = ds.checkConvergenceDFS(ctx)
-	}
+	res, _, err := sp.derived(pred, sp.T, stable, sp.inT).checkConvergenceKahn(ctx)
 	if err != nil {
 		return cost, err
 	}
@@ -727,48 +568,26 @@ func (sp *Space) constraintCost(ctx context.Context, spec ConstraintSpec) (Const
 // repeatedly remove every member with an edge leaving the current set
 // (including edges out of T). What survives is exactly the set of states
 // from which the candidate predicate keeps holding under every daemon.
-// The removal runs backward over the reverse CSR when available (each
-// removed state releases its predecessors), or as round-based sweeps.
+// The removal runs backward over the reverse CSR: each removed state
+// releases its predecessors.
 func (sp *Space) stableSubset(ctx context.Context, good bitset) (bitset, error) {
 	workers := sp.workers()
 	removed := newBitset(sp.Count)
-	inGood := func(i int64) bool { return good.get(i) && !removed.get(i) }
 
 	// Seed: members with an edge out of the candidate set.
 	seedLists := make([][]int64, workers)
-	var scr []statePair
-	if sp.idx == nil {
-		scr = sp.newStatePairs()
-	}
 	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !good.get(i) {
 				continue
 			}
-			exit := false
-			if sp.idx != nil {
-				for _, j := range sp.idx.out(i) {
-					if !good.get(int64(j)) {
-						exit = true
-						break
+			for _, j := range sp.idx.out(i) {
+				if !good.get(int64(j)) {
+					if removed.testAndSet(i) {
+						seedLists[worker] = append(seedLists[worker], i)
 					}
+					break
 				}
-			} else {
-				st, tmp := scr[worker].st, scr[worker].tmp
-				sp.stateInto(i, st)
-				for _, a := range sp.P.Actions {
-					if !a.Guard(st) {
-						continue
-					}
-					a.ApplyInto(st, tmp)
-					if !good.get(sp.indexOf(tmp)) {
-						exit = true
-						break
-					}
-				}
-			}
-			if exit && removed.testAndSet(i) {
-				seedLists[worker] = append(seedLists[worker], i)
 			}
 		}
 	})
@@ -777,60 +596,27 @@ func (sp *Space) stableSubset(ctx context.Context, good bitset) (bitset, error) 
 	}
 	frontier := flatten(seedLists)
 
-	if sp.idx != nil {
-		revOff, revPred, err := sp.predIndex(ctx)
+	revOff, revPred, err := sp.predIndex(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for len(frontier) > 0 {
+		next := make([][]int64, workers)
+		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
+			for w := lo; w < hi; w++ {
+				j := frontier[w]
+				for _, p := range revPred[revOff[j]:revOff[j+1]] {
+					pp := int64(p)
+					if good.get(pp) && removed.testAndSet(pp) {
+						next[worker] = append(next[worker], pp)
+					}
+				}
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-		for len(frontier) > 0 {
-			next := make([][]int64, workers)
-			err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
-				for w := lo; w < hi; w++ {
-					j := frontier[w]
-					for _, p := range revPred[revOff[j]:revOff[j+1]] {
-						pp := int64(p)
-						if good.get(pp) && removed.testAndSet(pp) {
-							next[worker] = append(next[worker], pp)
-						}
-					}
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			frontier = flatten(next)
-		}
-	} else {
-		for len(frontier) > 0 {
-			found := make([][]int64, workers)
-			err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-				st, tmp := scr[worker].st, scr[worker].tmp
-				for i := lo; i < hi; i++ {
-					if !inGood(i) {
-						continue
-					}
-					sp.stateInto(i, st)
-					for _, a := range sp.P.Actions {
-						if !a.Guard(st) {
-							continue
-						}
-						a.ApplyInto(st, tmp)
-						if j := sp.indexOf(tmp); !inGood(j) {
-							found[worker] = append(found[worker], i)
-							break
-						}
-					}
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			grown := flatten(found)
-			for _, i := range grown {
-				removed.set(i)
-			}
-			frontier = grown
-		}
+		frontier = flatten(next)
 	}
 
 	stable := newBitset(sp.Count)

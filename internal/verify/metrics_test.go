@@ -2,7 +2,7 @@
 // The oracles are models small enough to solve by hand, so the expected
 // hitting times pin the value iteration against closed-form answers; the
 // metamorphic suite requires every number to be bit-identical across
-// worker counts and across the CSR engine vs the on-the-fly fallback.
+// worker counts and across the in-RAM and escalated spill tiers.
 package verify_test
 
 import (
@@ -138,8 +138,8 @@ func TestMetricsChainOracle(t *testing.T) {
 }
 
 // TestMetricsMetamorphic re-runs every checked-in GCL model with metrics
-// on across worker counts {1, 4, NumCPU} and across the CSR engine vs
-// the forced on-the-fly fallback, requiring the full metrics block —
+// on across worker counts {1, 4, NumCPU} and across the auto ladder's
+// forced escalation to spill, requiring the full metrics block —
 // profile, worst and expected times, per-constraint costs — to be
 // bit-identical. This is the documented determinism contract of
 // MetricsContext.
@@ -151,10 +151,12 @@ func TestMetricsMetamorphic(t *testing.T) {
 			for _, c := range m.Set.Constraints {
 				specs = append(specs, verify.ConstraintSpec{Name: c.Pred.Name, Pred: c.Pred})
 			}
+			options := func(w int) []verify.Option {
+				return []verify.Option{verify.WithWorkers(w), verify.WithMetrics(), verify.WithConstraints(specs...)}
+			}
 			check := func(w int) *verify.ToleranceMetrics {
 				t.Helper()
-				rep, err := verify.Check(ctx, m.Program, m.S, m.T,
-					verify.WithWorkers(w), verify.WithMetrics(), verify.WithConstraints(specs...))
+				rep, err := verify.Check(ctx, m.Program, m.S, m.T, options(w)...)
 				if err != nil {
 					t.Fatalf("Workers=%d: %v", w, err)
 				}
@@ -169,11 +171,9 @@ func TestMetricsMetamorphic(t *testing.T) {
 					t.Errorf("Workers=%d metrics diverge:\nbase %+v\ngot  %+v", w, base, got)
 				}
 			}
-			restore := verify.SetSuccIndexBudget(1)
-			defer restore()
 			for _, w := range []int{1, 4} {
-				if got := check(w); !reflect.DeepEqual(base, got) {
-					t.Errorf("fallback Workers=%d metrics diverge:\nbase %+v\ngot  %+v", w, base, got)
+				if got := checkEscalated(t, m, options(w)...).Metrics; !reflect.DeepEqual(base, got) {
+					t.Errorf("escalated Workers=%d metrics diverge:\nbase %+v\ngot  %+v", w, base, got)
 				}
 			}
 		})

@@ -24,11 +24,11 @@ const (
 	// SpaceAuto (the default) engages the ladder automatically: the full
 	// in-RAM representation when the CSR fits its memory budget, the
 	// symmetry quotient when one is advertised and the full CSR does not
-	// fit, the spill tier when a spill directory is configured and nothing
-	// smaller fits, and the on-the-fly fallback last.
+	// fit, and the spill tier (in SpillDir, or the OS temp dir) when
+	// nothing smaller fits.
 	SpaceAuto SpaceMode = iota
-	// SpaceFull forces the classic full-product representation (over
-	// budget means the on-the-fly fallback, never quotient or spill).
+	// SpaceFull forces the classic full-product representation. A CSR
+	// over the in-RAM budget is refused, never quotiented or spilled.
 	SpaceFull
 	// SpaceQuotient forces symmetry reduction: enumeration, the CSR and
 	// every pass run on canonical orbit representatives. Requires a
@@ -155,8 +155,8 @@ type Options struct {
 	// quotient tier (fingerprint table by default).
 	QuotientMap QuotientMap
 	// SpillDir is the directory the spill tier writes CSR segment files
-	// and frontier runs into. Empty means os.TempDir() when spill is
-	// forced; SpaceAuto never spills without an explicit directory.
+	// and frontier runs into, whether SpaceSpill forces the tier or
+	// SpaceAuto escalates to it. Empty means os.TempDir().
 	SpillDir string
 }
 
@@ -305,7 +305,7 @@ func WithQuotientMap(m QuotientMap) Option {
 }
 
 // WithSpillDir sets the directory the spill tier writes CSR segments and
-// frontier runs into, and enables the spill rung of the SpaceAuto ladder.
+// frontier runs into (os.TempDir() when unset).
 func WithSpillDir(dir string) Option {
 	return func(o *Options, _ *checkExtras) { o.SpillDir = dir }
 }

@@ -29,6 +29,7 @@ package verify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -70,8 +71,8 @@ type Space struct {
 	codec *program.Codec
 	// idx is the CSR transition graph over enabled edges, shared by
 	// pointer with derived stage spaces so its cached reverse index is
-	// built at most once per Check. nil when the edge set exceeds
-	// succIndexBudget (the passes then recompute successors on the fly).
+	// built at most once per Check. Every space has one: a tier whose CSR
+	// cannot be built is refused, never left index-free.
 	idx *succIndex
 
 	// quot is the symmetry quotient (reps, weights, canonical lookup);
@@ -99,12 +100,12 @@ type Space struct {
 // passes on a space without a full verdict bundle.
 //
 // The space-mode ladder (DESIGN §13) resolves here. Explicit modes force
-// their tier; SpaceAuto tries the full in-RAM space first and, when the
-// measured edge set busts the CSR budget, escalates to the symmetry
-// quotient (if a Symmetry is advertised), then to the spill tier (if a
-// spill directory is configured), before settling for the on-the-fly
-// fallback. MaxStates always bounds the full-product count — enumeration
-// visits every full state once even in quotient mode.
+// their tier, and a forced in-RAM tier whose CSR busts succIndexBudget is
+// refused. SpaceAuto tries the full in-RAM space first and, when the
+// measured edge set busts the budget, escalates to the symmetry quotient
+// (if a Symmetry is advertised), then to the spill tier in opts.SpillDir
+// (os.TempDir() when empty). MaxStates always bounds the full-product
+// count — enumeration visits every full state once even in quotient mode.
 func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Predicate, opts Options) (*Space, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -115,74 +116,63 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 			p.Name, fullCount, opts.maxStates())
 	}
 	codec := program.NewCodec(p.Schema)
+	var (
+		q   *quotient
+		sp  *Space
+		err error
+	)
 	switch opts.SpaceMode {
-	case SpaceFull:
-		return newSpace(ctx, p, S, T, opts, SpaceFull, codec, nil, nil)
 	case SpaceQuotient:
-		q, err := buildQuotient(ctx, p, opts, codec)
-		if err != nil {
+		if q, err = buildQuotient(ctx, p, opts, codec); err != nil {
 			return nil, err
 		}
-		return newSpace(ctx, p, S, T, opts, SpaceQuotient, codec, q, nil)
+		fallthrough
+	case SpaceFull:
+		sp, err = newSpace(ctx, p, S, T, opts, opts.SpaceMode, codec, q, nil)
+		if errors.Is(err, errOverBudget) {
+			err = fmt.Errorf("%w (-space-mode auto or spill puts the CSR on disk)", err)
+		}
+		return sp, err
 	case SpaceSpill:
 		arena, err := newSpillArena(opts.SpillDir)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, nil, arena)
-		if err != nil {
-			_ = arena.close()
-			return nil, err
-		}
-		return sp, nil
+		return newSpace(ctx, p, S, T, opts, SpaceSpill, codec, nil, arena)
 	}
 
-	// SpaceAuto: full first; each escalation only triggers when the tier
-	// below failed to materialize its CSR.
-	sp, err := newSpace(ctx, p, S, T, opts, SpaceFull, codec, nil, nil)
-	if err != nil || sp.idx != nil {
+	// SpaceAuto: each rung is tried only when the one below refused its
+	// CSR as over the in-RAM budget.
+	sp, err = newSpace(ctx, p, S, T, opts, SpaceFull, codec, nil, nil)
+	if opts.Symmetry != nil && errors.Is(err, errOverBudget) {
+		if q, err = buildQuotient(ctx, p, opts, codec); err != nil {
+			return nil, err
+		}
+		sp, err = newSpace(ctx, p, S, T, opts, SpaceQuotient, codec, q, nil)
+	}
+	if !errors.Is(err, errOverBudget) {
 		return sp, err
 	}
-	if opts.Symmetry != nil {
-		q, err := buildQuotient(ctx, p, opts, codec)
-		if err != nil {
-			return nil, err
-		}
-		qsp, err := newSpace(ctx, p, S, T, opts, SpaceQuotient, codec, q, nil)
-		if err != nil || qsp.idx != nil || opts.SpillDir == "" {
-			return qsp, err
-		}
-		arena, err := newSpillArena(opts.SpillDir)
-		if err != nil {
-			return nil, err
-		}
-		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, q, arena)
-		if err != nil {
-			_ = arena.close()
-			return nil, err
-		}
-		return ssp, nil
+	arena, aerr := newSpillArena(opts.SpillDir)
+	if aerr != nil {
+		return nil, fmt.Errorf("%v; spill tier: %w", err, aerr)
 	}
-	if opts.SpillDir != "" {
-		arena, err := newSpillArena(opts.SpillDir)
-		if err != nil {
-			return nil, err
-		}
-		ssp, err := newSpace(ctx, p, S, T, opts, SpaceSpill, codec, nil, arena)
-		if err != nil {
-			_ = arena.close()
-			return nil, err
-		}
-		return ssp, nil
-	}
-	return sp, nil // on-the-fly fallback
+	return newSpace(ctx, p, S, T, opts, SpaceSpill, codec, q, arena)
 }
 
 // newSpace builds one tier: enumerate (over representatives in quotient
 // mode), evaluate S/T, build the CSR (arena-backed in spill mode). Every
-// tier of one NewSpaceContext call shares the codec built there.
+// tier of one NewSpaceContext call shares the codec built there. The
+// space owns arena; it is closed here if the tier cannot be built.
 func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, opts Options,
-	mode SpaceMode, codec *program.Codec, q *quotient, arena *spillArena) (*Space, error) {
+	mode SpaceMode, codec *program.Codec, q *quotient, arena *spillArena) (_ *Space, err error) {
+	if arena != nil {
+		defer func() {
+			if err != nil {
+				_ = arena.close()
+			}
+		}()
+	}
 	fullCount := codec.Count()
 	count := fullCount
 	if q != nil {
@@ -199,7 +189,7 @@ func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, 
 	w := newWitness()
 	scr := sp.newStates()
 	span := startPass(opts, PassEnumerate, count)
-	err := parallelRange(ctx, sp.workers(), count, sp.opts.Progress, func(worker int, lo, hi int64) {
+	err = parallelRange(ctx, sp.workers(), count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		st := scr[worker]
 		for i := lo; i < hi; i++ {
 			sp.walkInto(lo, i, st)
@@ -364,22 +354,6 @@ func (sp *Space) weightedCountAndNot(b, not bitset) int64 {
 	return sum
 }
 
-// weightedLen sums the weights of a frontier's states.
-func (sp *Space) weightedLen(idxs []int64) int64 {
-	if sp.quot == nil {
-		return int64(len(idxs))
-	}
-	var sum int64
-	for _, i := range idxs {
-		sum += int64(sp.quot.weights[i])
-	}
-	return sum
-}
-
-// spillFrontiers reports whether BFS/wave frontiers should overflow to
-// disk (spill mode with the CSR materialized).
-func (sp *Space) spillFrontiers() bool { return sp.arena != nil && sp.idx != nil }
-
 // newStates allocates one scratch state per worker.
 func (sp *Space) newStates() []*program.State {
 	scr := make([]*program.State, sp.workers())
@@ -486,24 +460,6 @@ func (sp *Space) State(i int64) *program.State {
 	return sp.P.Schema.StateAt(i)
 }
 
-// successors appends the indices of all one-step successors of state index
-// i under the given actions, reusing buf. Actions whose body leaves the
-// state unchanged still contribute a (self-loop) successor. It is the
-// allocation-tolerant form used by the sequential fallback passes; the
-// sharded passes read the successor table directly.
-func (sp *Space) successors(i int64, actions []*program.Action, buf []int64) []int64 {
-	st := sp.State(i)
-	buf = buf[:0]
-	for _, a := range actions {
-		if !a.Guard(st) {
-			continue
-		}
-		next := a.Apply(st)
-		buf = append(buf, sp.indexOf(next))
-	}
-	return buf
-}
-
 // ClosureViolation describes one step that escapes a predicate.
 type ClosureViolation struct {
 	Pred   *program.Predicate
@@ -546,34 +502,15 @@ func (sp *Space) CheckClosedContext(ctx context.Context, pred, within *program.P
 		}
 	}
 	w := newWitness()
-	var scr []statePair
-	if sp.idx == nil {
-		scr = sp.newStatePairs()
-	}
-	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !predBits.get(i) || (withinBits != nil && !withinBits.get(i)) {
 				continue
 			}
-			if sp.idx != nil {
-				// The witness payload is the violating edge's rank among
-				// i's enabled actions; actionAt recovers the action below.
-				for k, j := range sp.idx.out(i) {
-					if !predBits.get(int64(j)) {
-						w.offer(i, int64(k))
-						break
-					}
-				}
-				continue
-			}
-			st, tmp := scr[worker].st, scr[worker].tmp
-			sp.stateInto(i, st)
-			for k, a := range sp.P.Actions {
-				if !a.Guard(st) {
-					continue
-				}
-				a.ApplyInto(st, tmp)
-				if !predBits.get(sp.indexOf(tmp)) {
+			// The witness payload is the violating edge's rank among i's
+			// enabled actions; actionAt recovers the action below.
+			for k, j := range sp.idx.out(i) {
+				if !predBits.get(int64(j)) {
 					w.offer(i, int64(k))
 					break
 				}
@@ -588,10 +525,7 @@ func (sp *Space) CheckClosedContext(ctx context.Context, pred, within *program.P
 		return nil, nil
 	}
 	st := sp.State(w.state)
-	a := sp.P.Actions[w.extra]
-	if sp.idx != nil {
-		a = sp.actionAt(w.state, w.extra)
-	}
+	a := sp.actionAt(w.state, w.extra)
 	return &ClosureViolation{Pred: pred, State: st, Action: a, Next: a.Apply(st)}, nil
 }
 

@@ -249,13 +249,15 @@ func int64Bytes(v []int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 }
 
-// frontierSpool accumulates one BFS wave with bounded RAM: per-worker
-// buffers (no locking on the hot path) that overflow as sorted fixed-size
-// runs to temp files, drained by a streaming merge in sorted batches.
-// Wave membership is a set (the emitting passes claim states by atomic
-// decrement-to-zero or test-and-set), so the merged stream — and with it
-// every verdict and metric — is deterministic regardless of worker count
-// or flush timing.
+// frontierSpool accumulates one BFS wave in per-worker buffers (no
+// locking on the hot path). With an arena (the spill tier) a buffer that
+// reaches spoolRunEntries overflows as a sorted run to a temp file, and
+// drain streams a merge of the runs in sorted batches, so the wave costs
+// bounded RAM. Without one (the in-RAM tiers) the spool never flushes and
+// drain hands over the concatenated buffers unsorted. Wave membership is
+// a set (the emitting passes claim states by atomic decrement-to-zero or
+// test-and-set), so every verdict and metric is deterministic regardless
+// of worker count, flush timing or batch order.
 type frontierSpool struct {
 	ar   *spillArena
 	bufs [][]int64
@@ -263,8 +265,7 @@ type frontierSpool struct {
 	mu   sync.Mutex
 	runs []spoolRun
 
-	total atomic.Int64
-	err   atomic.Pointer[error]
+	err atomic.Pointer[error]
 }
 
 type spoolRun struct {
@@ -282,16 +283,25 @@ func newFrontierSpool(ar *spillArena, workers int) *frontierSpool {
 // error channel of their own).
 func (fs *frontierSpool) add(worker int, v int64) {
 	fs.bufs[worker] = append(fs.bufs[worker], v)
-	fs.total.Add(1)
-	if len(fs.bufs[worker]) >= spoolRunEntries {
+	if fs.ar != nil && len(fs.bufs[worker]) >= spoolRunEntries {
 		if err := fs.flush(worker); err != nil {
 			fs.err.CompareAndSwap(nil, &err)
 		}
 	}
 }
 
-// size returns the number of states accumulated so far.
-func (fs *frontierSpool) size() int64 { return fs.total.Load() }
+// size returns the number of states accumulated so far. It must not run
+// concurrently with add.
+func (fs *frontierSpool) size() int64 {
+	var n int64
+	for _, b := range fs.bufs {
+		n += int64(len(b))
+	}
+	for _, r := range fs.runs {
+		n += r.n
+	}
+	return n
+}
 
 // flush sorts worker w's buffer and writes it out as one run.
 func (fs *frontierSpool) flush(w int) error {
@@ -316,10 +326,10 @@ func (fs *frontierSpool) flush(w int) error {
 	return nil
 }
 
-// drain merges the spilled runs and the in-memory leftovers into one
-// ascending stream and feeds it to fn in batches of at most
-// spoolBatchEntries states, then releases every run file. The spool is
-// spent afterwards.
+// drain feeds the wave to fn in batches of at most spoolBatchEntries
+// states — in ascending order when the spool has an arena, merging the
+// spilled runs with the in-memory leftovers — then releases every run
+// file. The spool is spent afterwards.
 func (fs *frontierSpool) drain(fn func(batch []int64) error) error {
 	defer fs.release()
 	if ep := fs.err.Load(); ep != nil {
@@ -329,7 +339,9 @@ func (fs *frontierSpool) drain(fn func(batch []int64) error) error {
 	for _, b := range fs.bufs {
 		mem = append(mem, b...)
 	}
-	slices.Sort(mem)
+	if fs.ar != nil {
+		slices.Sort(mem)
+	}
 	if len(fs.runs) == 0 {
 		for lo := 0; lo < len(mem); lo += spoolBatchEntries {
 			hi := min(lo+spoolBatchEntries, len(mem))
@@ -398,7 +410,6 @@ func (fs *frontierSpool) release() {
 	for i := range fs.bufs {
 		fs.bufs[i] = nil
 	}
-	fs.total.Store(0)
 }
 
 // runReader streams one sorted run (a file, or the in-memory leftovers)

@@ -1,6 +1,6 @@
-// Benchmarks for the scaling ladder: the spill tier against the
-// on-the-fly fallback it replaces beyond the RAM budget, and the
-// density-adaptive reverse-CSR build against its two fixed strategies.
+// Benchmarks for the scaling ladder: the spill tier against the in-RAM
+// CSR, and the density-adaptive reverse-CSR build against its two fixed
+// strategies.
 //
 // Run with:
 //
@@ -17,12 +17,9 @@ import (
 )
 
 // benchCheckMetrics1M runs the full metrics suite on the 1M-state
-// diffusing instance — the workload the spill-vs-fallback claim is made
-// on. Metrics is the representative beyond-RAM workload: the distance,
-// worst-step and expected-step passes each re-stream the transition
-// graph, so an instance that keeps its CSR (in RAM or in segment files)
-// pays the guard evaluations once, while the fallback pays them again
-// every pass.
+// diffusing instance. Metrics is the representative beyond-RAM workload:
+// the distance, worst-step and expected-step passes each re-stream the
+// transition graph from wherever the CSR lives.
 func benchCheckMetrics1M(b *testing.B, options ...verify.Option) {
 	inst, err := diffusing.New(diffusing.Binary(10))
 	if err != nil {
@@ -56,15 +53,6 @@ func BenchmarkCheckMetricsRAM(b *testing.B) { benchCheckMetrics1M(b) }
 func BenchmarkCheckMetricsSpill(b *testing.B) {
 	benchCheckMetrics1M(b,
 		verify.WithSpaceMode(verify.SpaceSpill), verify.WithSpillDir(b.TempDir()))
-}
-
-// BenchmarkCheckMetricsFallback forces the on-the-fly path (budget too
-// small for any index) — what the same beyond-budget instance ran on
-// before the spill tier existed. Compare against
-// BenchmarkCheckMetricsSpill for the tier's net win.
-func BenchmarkCheckMetricsFallback(b *testing.B) {
-	defer verify.SetSuccIndexBudget(1)()
-	benchCheckMetrics1M(b)
 }
 
 // benchPredBuild times the end-to-end Check on the guard-dense printed

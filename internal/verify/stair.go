@@ -177,32 +177,16 @@ func (sp *Space) CheckVariantContext(ctx context.Context, variant func(*program.
 				w.offer(i, negative)
 				continue
 			}
-			if sp.idx != nil {
-				// The witness payload is the offending edge's rank among
-				// i's enabled actions (recovered by actionAt below). In
-				// quotient mode the variant is evaluated at the canonical
-				// successor — a symmetric variant (the only kind the
-				// quotient contract admits) gives the same value either way.
-				for k, j := range sp.idx.out(i) {
-					if sp.inS.get(int64(j)) {
-						continue
-					}
-					sp.stateInto(int64(j), tmp)
-					if variant(tmp) >= before {
-						w.offer(i, int64(k))
-						break
-					}
-				}
-				continue
-			}
-			for k, a := range sp.P.Actions {
-				if !a.Guard(st) {
+			// The witness payload is the offending edge's rank among i's
+			// enabled actions (recovered by actionAt below). In quotient
+			// mode the variant is evaluated at the canonical successor — a
+			// symmetric variant (the only kind the quotient contract
+			// admits) gives the same value either way.
+			for k, j := range sp.idx.out(i) {
+				if sp.inS.get(int64(j)) {
 					continue
 				}
-				a.ApplyInto(st, tmp)
-				if sp.inS.get(sp.indexOf(tmp)) {
-					continue
-				}
+				sp.stateInto(int64(j), tmp)
 				if variant(tmp) >= before {
 					w.offer(i, int64(k))
 					break
@@ -223,10 +207,7 @@ func (sp *Space) CheckVariantContext(ctx context.Context, variant func(*program.
 		return &VariantViolation{State: st, Before: before, After: before,
 			Action: &program.Action{Name: "(negative variant)"}}, nil
 	}
-	a := sp.P.Actions[w.extra]
-	if sp.idx != nil {
-		a = sp.actionAt(w.state, w.extra)
-	}
+	a := sp.actionAt(w.state, w.extra)
 	next := a.Apply(st)
 	return &VariantViolation{State: st, Action: a, Next: next,
 		Before: before, After: variant(next)}, nil

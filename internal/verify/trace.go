@@ -17,7 +17,7 @@ const (
 	// PassSuccTable is the construction of the forward CSR successor
 	// index: an edge-counting sweep plus a fill sweep. Its span carries
 	// the enabled-edge count and the index's byte size (bytes 0 when the
-	// edge set busted the budget and nothing was materialized).
+	// edge set busted the in-RAM budget and the tier was refused).
 	PassSuccTable = "succ_table"
 	// PassPredTable is the lazy construction of the reverse CSR
 	// (predecessor index), emitted at most once per Check — stage passes
@@ -26,7 +26,7 @@ const (
 	// PassClosure is one closure scan of one predicate.
 	PassClosure = "closure"
 	// PassConvergeUnfair is the arbitrary-daemon convergence fixpoint
-	// (Kahn wave peeling, or the sequential DFS fallback).
+	// (Kahn wave peeling).
 	PassConvergeUnfair = "converge_unfair"
 	// PassConvergeFair is the weakly-fair-daemon SCC analysis, including
 	// its region-graph build.
