@@ -187,8 +187,8 @@ type Server struct {
 	queue     chan *job
 	queueHigh chan *job
 	jobs      map[string]*job
-	order    []string // job ids, admission order, for record eviction
-	seq      uint64
+	order     []string // job ids, admission order, for record eviction
+	seq       uint64
 	// inflight maps a content-address to its leader job from enqueue until
 	// the leader's terminal transition; identical submissions in that
 	// window coalesce onto the leader instead of running their own check.

@@ -25,6 +25,9 @@ func (b bitset) get(i int64) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 // set sets bit i. Not atomic; see the concurrency contract above.
 func (b bitset) set(i int64) { b[i>>6] |= 1 << (uint(i) & 63) }
 
+// clear clears bit i. Not atomic; see the concurrency contract above.
+func (b bitset) clear(i int64) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
 // testAndSet atomically sets bit i and reports whether this call changed
 // it from 0 to 1 (i.e. the caller won the race to claim index i).
 func (b bitset) testAndSet(i int64) bool {

@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -140,7 +141,7 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 	outstanding := make([]int32, sp.Count)
 	escape, deadlock := newWitness(), newWitness()
 	cur := newFrontierSpool(sp.arena, workers)
-	defer func() { cur.release() }()
+	defer cur.release()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
@@ -169,16 +170,7 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 	if err != nil {
 		return nil, nil, err
 	}
-	if escape.found() {
-		st := sp.State(escape.state)
-		a := sp.actionAt(escape.state, escape.extra)
-		res.Converges = false
-		res.Escape = &ClosureViolation{Pred: sp.T, State: st, Action: a, Next: a.Apply(st)}
-		return res, nil, nil
-	}
-	if deadlock.found() {
-		res.Converges = false
-		res.Deadlock = sp.State(deadlock.state)
+	if sp.exitWitness(res, escape, deadlock) {
 		return res, nil, nil
 	}
 
@@ -193,49 +185,37 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 		return nil, nil, err
 	}
 
-	// Phase 3: wave loop. Each wave resolves in batches and hands every
-	// newly released predecessor to the next wave's spool; on the spill
-	// tier waves overflow to sorted temp-file runs, and processing a wave
-	// in sorted batches is sound because no wave member reads a same-wave
-	// steps entry — all its region successors resolved in strictly
-	// earlier waves.
-	var resolved int64
-	for cur.size() > 0 {
-		span.observeFrontier(cur.size())
-		resolved += cur.size()
-		next := newFrontierSpool(sp.arena, workers)
-		err := cur.drain(func(batch []int64) error {
-			return parallelRange(ctx, workers, int64(len(batch)), sp.opts.Progress, func(worker int, lo, hi int64) {
-				for w := lo; w < hi; w++ {
-					i := batch[w]
-					var best int32
-					for _, j := range sp.idx.out(i) {
-						jj := int64(j)
-						if sp.inS.get(jj) {
-							if best < 1 {
-								best = 1
-							}
-						} else if d := steps[jj] + 1; d > best {
-							best = d
-						}
+	// Phase 3: the waves. Each newly released predecessor joins the next
+	// wave; processing a wave in sorted spill batches is sound because no
+	// wave member reads a same-wave steps entry — all its region
+	// successors resolved in strictly earlier waves.
+	resolved, err := waves(ctx, sp.opts.Progress, &span, cur, func(worker int, _ int32, batch []int64, next *frontierSpool) {
+		for _, i := range batch {
+			var best int32
+			for _, j := range sp.idx.out(i) {
+				jj := int64(j)
+				if sp.inS.get(jj) {
+					if best < 1 {
+						best = 1
 					}
-					steps[i] = best
-					for _, p := range revPred[revOff[i]:revOff[i+1]] {
-						pp := int64(p)
-						if !sp.region(pp) {
-							continue
-						}
-						if atomic.AddInt32(&outstanding[pp], -1) == 0 {
-							next.add(worker, pp)
-						}
-					}
+				} else if d := steps[jj] + 1; d > best {
+					best = d
 				}
-			})
-		})
-		cur = next
-		if err != nil {
-			return nil, nil, err
+			}
+			steps[i] = best
+			for _, p := range revPred[revOff[i]:revOff[i+1]] {
+				pp := int64(p)
+				if !sp.region(pp) {
+					continue
+				}
+				if atomic.AddInt32(&outstanding[pp], -1) == 0 {
+					next.add(worker, pp)
+				}
+			}
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	// The peel counts representatives; compare against the region's rep
 	// count, not the orbit-weighted StatesOutsideS.
@@ -248,15 +228,23 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 		return res, nil, nil
 	}
 
-	// Aggregate the exact worst-case metric. The per-state sum is integer
-	// and orbit-weighted, so the mean is identical for every worker count
-	// and equals the full space's mean exactly in quotient mode.
+	if res.WorstSteps, res.MeanSteps, err = sp.worstStats(ctx, steps); err != nil {
+		return nil, nil, err
+	}
+	return res, steps, nil
+}
+
+// worstStats folds a worst-case steps table into its maximum and its
+// mean over the region. The per-state sum is integer and orbit-weighted,
+// so the mean is identical for every worker count and equals the full
+// space's mean exactly in quotient mode.
+func (sp *Space) worstStats(ctx context.Context, steps []int32) (worst int, mean float64, err error) {
 	var (
-		mu    sync.Mutex
-		worst int32
-		sum   int64
+		mu  sync.Mutex
+		top int32
+		sum int64
 	)
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
+	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
 		var w int32
 		var s int64
 		for i := lo; i < hi; i++ {
@@ -269,31 +257,35 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 			s += sp.weightOf(i) * int64(steps[i])
 		}
 		mu.Lock()
-		if w > worst {
-			worst = w
+		if w > top {
+			top = w
 		}
 		sum += s
 		mu.Unlock()
 	})
-	if err != nil {
-		return nil, nil, err
+	if n := sp.weightedCountAndNot(sp.inT, sp.inS); n > 0 {
+		mean = float64(sum) / float64(n)
 	}
-	res.WorstSteps = int(worst)
-	res.MeanSteps = float64(sum) / float64(res.StatesOutsideS)
-	return res, steps, nil
+	return int(top), mean, err
 }
 
-// flatten concatenates per-worker index buffers.
-func flatten(parts [][]int64) []int64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+// exitWitness turns the minimum-index escape and deadlock witnesses of a
+// region scan into the verdict, an escape taking precedence; it reports
+// whether either was found. The escape payload is the escaping edge's
+// rank among the state's enabled actions.
+func (sp *Space) exitWitness(res *ConvergenceResult, escape, deadlock *witness) bool {
+	switch {
+	case escape.found():
+		st := sp.State(escape.state)
+		a := sp.actionAt(escape.state, escape.extra)
+		res.Escape = &ClosureViolation{Pred: sp.T, State: st, Action: a, Next: a.Apply(st)}
+	case deadlock.found():
+		res.Deadlock = sp.State(deadlock.state)
+	default:
+		return false
 	}
-	out := make([]int64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	res.Converges = false
+	return true
 }
 
 // cycleWitness extracts a concrete region cycle from the unresolved
@@ -374,9 +366,13 @@ func (sp *Space) CheckFairConvergence() *ConvergenceResult {
 }
 
 // CheckFairConvergenceContext is CheckFairConvergence with cancellation.
-// The region collection and labeled-adjacency build are sharded; the SCC
-// analysis itself is sequential (component structure is rarely the
-// bottleneck).
+// It runs on the space's CSR alone: a sharded region scan finds escapes
+// and deadlocks, then a sequential Tarjan pass over the region finds the
+// components, and only components that can hold a computation at all
+// (more than one state, or a self-loop) decode their states to recover
+// the action labels the A∞ test needs. The first fair component found
+// is the Cycle witness; verdicts and witnesses do not depend on the
+// worker count.
 func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *ConvergenceResult, err error) {
 	span := startPass(sp.opts, PassConvergeFair, 0)
 	defer func() {
@@ -390,234 +386,86 @@ func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *Converge
 		return res, nil
 	}
 
-	region, adj, enabled, err := sp.buildRegionGraph(ctx, res)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Converges {
-		return res, nil
-	}
-	// enabled[v] is the sorted action-index list behind region[v]'s CSR
-	// edges, materialized by the region-graph build's guard zip.
-	enabledAt := func(ai int, v int) bool {
-		for _, a := range enabled[v] {
-			if int(a) == ai {
-				return true
-			}
-			if int(a) > ai {
-				return false
-			}
-		}
-		return false
-	}
-
-	// Tarjan SCC over the dense region graph (iterative).
-	comps := denseSCCs(adj)
-
-	for _, comp := range comps {
-		// Does comp contain any internal edge at all?
-		inComp := make(map[int]bool, len(comp))
-		for _, v := range comp {
-			inComp[v] = true
-		}
-		hasInternal := false
-		internalAction := make(map[int]bool)
-		for _, v := range comp {
-			for _, e := range adj[v] {
-				if inComp[e.to] {
-					hasInternal = true
-					internalAction[e.action] = true
-				}
-			}
-		}
-		if !hasInternal {
-			continue // trivial SCC without self-loop: no infinite stay
-		}
-		// A∞: actions enabled at every state of the component.
-		fairCycle := true
-		for ai := range sp.P.Actions {
-			everywhere := true
-			for _, v := range comp {
-				if !enabledAt(ai, v) {
-					everywhere = false
-					break
-				}
-			}
-			if everywhere && !internalAction[ai] {
-				// The action is continuously enabled on any run confined to
-				// comp but firing it always leaves comp: no fair run stays.
-				fairCycle = false
-				break
-			}
-		}
-		if fairCycle {
-			res.Converges = false
-			res.Cycle = make([]*program.State, 0, len(comp))
-			for _, v := range comp {
-				res.Cycle = append(res.Cycle, sp.State(region[v]))
-			}
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// buildRegionGraph collects the T∧¬S region in ascending state order and
-// builds its action-labeled transition graph, all sharded. Action labels
-// come from zipping each region state's guard scan with its CSR edge list
-// (the k-th edge is the k-th enabled action); the per-state enabled-action
-// lists are returned for the fair daemon's A∞ test. Escapes and deadlocks
-// are recorded on res (minimum-index witness) with res.Converges cleared.
-func (sp *Space) buildRegionGraph(ctx context.Context, res *ConvergenceResult) ([]int64, [][]regionEdge, [][]int32, error) {
-	workers := sp.workers()
-	nChunks := (sp.Count + chunkStates - 1) / chunkStates
-
-	// Pass 1: per-chunk region counts, so that pass 2 can place each
-	// chunk's states at a deterministic offset of the dense list.
-	counts := make([]int64, nChunks)
-	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		var n int64
-		for i := lo; i < hi; i++ {
-			if sp.region(i) {
-				n++
-			}
-		}
-		counts[lo/chunkStates] = n
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var total int64
-	for c := range counts {
-		counts[c], total = total, total+counts[c]
-	}
-
-	// Pass 2: fill the dense list and the state→dense id map.
-	region := make([]int64, total)
-	ids := make([]int32, sp.Count)
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		base := counts[lo/chunkStates]
+	// Escapes and deadlocks first, with the arbitrary-daemon scan's
+	// minimum-index witnesses.
+	escape, deadlock := newWitness(), newWitness()
+	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
-				ids[i] = -1
 				continue
 			}
-			region[base] = i
-			ids[i] = int32(base)
-			base++
-		}
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Pass 3: adjacency, one dense node per iteration (disjoint writes).
-	// Each region state's guard scan is zipped with its CSR edge list to
-	// recover the action labels the packed 4-byte edges leave implicit.
-	adj := make([][]regionEdge, total)
-	enabled := make([][]int32, total)
-	escape, deadlock := newWitness(), newWitness()
-	scr := sp.newStates()
-	err = parallelRange(ctx, workers, total, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
-		for id := lo; id < hi; id++ {
-			i := region[id]
 			row := sp.idx.out(i)
 			if len(row) == 0 {
 				deadlock.offer(i, 0)
-				continue
 			}
-			sp.stateInto(i, st)
-			var edges []regionEdge
-			acts := make([]int32, 0, len(row))
-			rank := 0
-			for k, a := range sp.P.Actions {
-				if !a.Guard(st) {
-					continue
-				}
-				jj := int64(row[rank])
-				rank++
-				acts = append(acts, int32(k))
-				if !sp.inT.get(jj) {
+			for k, j := range row {
+				if !sp.inT.get(int64(j)) {
 					escape.offer(i, int64(k))
-					continue
+					break
 				}
-				if sp.inS.get(jj) {
-					continue
-				}
-				edges = append(edges, regionEdge{to: int(ids[jj]), action: k})
 			}
-			adj[id] = edges
-			enabled[id] = acts
 		}
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if escape.found() {
-		st := sp.State(escape.state)
-		a := sp.P.Actions[escape.extra]
-		res.Converges = false
-		res.Escape = &ClosureViolation{Pred: sp.T, State: st, Action: a, Next: a.Apply(st)}
-		return region, adj, enabled, nil
+	if sp.exitWitness(res, escape, deadlock) {
+		return res, nil
 	}
-	if deadlock.found() {
-		res.Converges = false
-		res.Deadlock = sp.State(deadlock.state)
+	if res.Cycle, err = sp.fairComponent(ctx); err != nil {
+		return nil, err
 	}
-	return region, adj, enabled, nil
+	res.Converges = res.Cycle == nil
+	return res, nil
 }
 
-// regionEdge is a transition within the T∧¬S region, labeled with the
-// index of the program action that produces it.
-type regionEdge struct {
-	to     int
-	action int
-}
-
-// denseSCCs is Tarjan's algorithm over a dense adjacency structure with
-// labeled edges; it returns components of dense node ids.
-func denseSCCs(adj [][]regionEdge) [][]int {
-	n := len(adj)
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
+// fairComponent runs Tarjan's algorithm, iteratively, on the CSR
+// restricted to the region: roots in ascending state order, edges in CSR
+// (action) order. It returns the states of the first strongly connected
+// component that admits a weakly fair run, in pop order, or nil when none
+// does.
+func (sp *Space) fairComponent(ctx context.Context) ([]*program.State, error) {
+	index := make([]int32, sp.Count) // preorder number from 1; 0 = unvisited
+	low := make([]int32, sp.Count)
+	onStack := newBitset(sp.Count)
+	st := sp.P.Schema.NewState()
+	type frame struct {
+		v    int64
+		edge int
 	}
 	var (
-		comps   [][]int
-		stack   []int
-		counter int
+		stack   []int64
+		frames  []frame
+		counter int32
 	)
-	type frame struct {
-		v, ei int
+	visit := func(v int64) {
+		counter++
+		index[v], low[v] = counter, counter
+		stack = append(stack, v)
+		onStack.set(v)
+		frames = append(frames, frame{v: v})
 	}
-	var frames []frame
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
+	for root := int64(0); root < sp.Count; root++ {
+		if root%chunkStates == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if !sp.region(root) || index[root] != 0 {
 			continue
 		}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		frames = append(frames[:0], frame{v: start})
+		visit(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei].to
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
+			if row := sp.idx.out(f.v); f.edge < len(row) {
+				w := int64(row[f.edge])
+				f.edge++
+				if !sp.region(w) {
+					continue
+				}
+				if index[w] == 0 {
+					visit(w)
+				} else if onStack.get(w) && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}
 				continue
@@ -625,26 +473,69 @@ func denseSCCs(adj [][]regionEdge) [][]int {
 			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				if p := &frames[len(frames)-1]; low[v] < low[p.v] {
-					low[p.v] = low[v]
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+			if low[v] != index[v] {
+				continue
+			}
+			// v roots the component on the stack from v up; while it is
+			// still stacked, membership is "on the stack at or above v".
+			k := len(stack) - 1
+			for stack[k] != v {
+				k--
+			}
+			member := func(j int64) bool { return onStack.get(j) && index[j] >= index[v] }
+			if sp.admitsFairRun(stack[k:], member, st) {
+				comp := make([]*program.State, 0, len(stack)-k)
+				for j := len(stack) - 1; j >= k; j-- {
+					comp = append(comp, sp.State(stack[j]))
 				}
-				comps = append(comps, comp)
+				return comp, nil
+			}
+			for _, w := range stack[k:] {
+				onStack.clear(w)
+			}
+			stack = stack[:k]
+		}
+	}
+	return nil, nil
+}
+
+// admitsFairRun applies the weak-fairness criterion to one strongly
+// connected region set: a computation can stay in it forever only if it
+// holds a transition at all (a singleton needs a self-loop), and it can
+// do so fairly iff every action enabled at all of its states has a
+// transition that stays inside it. Action labels come from zipping each
+// state's guards with its CSR row (the k-th edge is the k-th enabled
+// action).
+func (sp *Space) admitsFairRun(comp []int64, member func(int64) bool, st *program.State) bool {
+	if len(comp) == 1 && !slices.Contains(sp.idx.out(comp[0]), int32(comp[0])) {
+		return false
+	}
+	enabled := make([]int, sp.nA) // states of comp the action is enabled at
+	internal := make([]bool, sp.nA)
+	for _, v := range comp {
+		sp.stateInto(v, st)
+		row := sp.idx.out(v)
+		rank := 0
+		for k, a := range sp.P.Actions {
+			if a.Guard(st) {
+				enabled[k]++
+				internal[k] = internal[k] || member(int64(row[rank]))
+				rank++
 			}
 		}
 	}
-	return comps
+	for k, n := range enabled {
+		if n == len(comp) && !internal[k] {
+			// Continuously enabled on any run confined to comp, but firing
+			// it always leaves comp: no fair run stays.
+			return false
+		}
+	}
+	return true
 }
 
 // WorstDistances returns, for every state index, the worst-case number of

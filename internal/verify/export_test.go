@@ -16,6 +16,16 @@ func SetSuccIndexBudget(b int64) (restore func()) {
 	return func() { succIndexBudget = old }
 }
 
+// SetSpoolRunEntries overrides the frontier spools' per-worker run
+// threshold for the duration of a test, returning a restore function. A
+// tiny threshold makes every spill-tier traversal flush sorted runs and
+// drain them through the k-way merge.
+func SetSpoolRunEntries(n int) (restore func()) {
+	old := spoolRunEntries
+	spoolRunEntries = n
+	return func() { spoolRunEntries = old }
+}
+
 // CSRFits exposes the CSR addressing-limit check for synthetic counts.
 func CSRFits(count, edges int64) error { return csrFits(count, edges) }
 

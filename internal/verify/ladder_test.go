@@ -9,6 +9,7 @@ package verify_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -80,7 +81,11 @@ func compareMetrics(t *testing.T, want, got *verify.ToleranceMetrics) {
 // in-RAM baseline. The identity group makes every orbit a singleton, so
 // the quotient machinery (canonicalization scan, fingerprint lookup,
 // orbit weights) runs end-to-end while the answers must match the full
-// space exactly.
+// space exactly. The spill-flush tier shrinks the frontier run threshold
+// to a few states, so every traversal (the Kahn waves, the distance
+// profile, the doomed and stable closures, leads-to) flushes sorted runs
+// and drains them through the merge; it also compares leads-to under
+// both daemons and checks the spill directory is empty after Close.
 func TestSpaceLadderMetamorphic(t *testing.T) {
 	ctx := context.Background()
 	for name, m := range gclModels(t) {
@@ -100,32 +105,44 @@ func TestSpaceLadderMetamorphic(t *testing.T) {
 				workers int
 				options []verify.Option
 				mode    verify.SpaceMode
+				flush   bool
 			}
+			flushDir := t.TempDir()
 			tiers := []tier{
 				{"quotient-fingerprint-w1", 1, []verify.Option{
 					verify.WithSpaceMode(verify.SpaceQuotient),
 					verify.WithSymmetry(verify.IdentitySymmetry()),
-				}, verify.SpaceQuotient},
+				}, verify.SpaceQuotient, false},
 				{"quotient-fingerprint-w4", 4, []verify.Option{
 					verify.WithSpaceMode(verify.SpaceQuotient),
 					verify.WithSymmetry(verify.IdentitySymmetry()),
-				}, verify.SpaceQuotient},
+				}, verify.SpaceQuotient, false},
 				{"quotient-exact-w1", 1, []verify.Option{
 					verify.WithSpaceMode(verify.SpaceQuotient),
 					verify.WithSymmetry(verify.IdentitySymmetry()),
 					verify.WithQuotientMap(verify.MapExact),
-				}, verify.SpaceQuotient},
+				}, verify.SpaceQuotient, false},
 				{"spill-w1", 1, []verify.Option{
 					verify.WithSpaceMode(verify.SpaceSpill),
 					verify.WithSpillDir(t.TempDir()),
-				}, verify.SpaceSpill},
+				}, verify.SpaceSpill, false},
 				{"spill-w4", 4, []verify.Option{
 					verify.WithSpaceMode(verify.SpaceSpill),
 					verify.WithSpillDir(t.TempDir()),
-				}, verify.SpaceSpill},
+				}, verify.SpaceSpill, false},
+				{"spill-flush", 2, []verify.Option{
+					verify.WithSpaceMode(verify.SpaceSpill),
+					verify.WithSpillDir(flushDir),
+				}, verify.SpaceSpill, true},
 			}
 			for _, tr := range tiers {
 				t.Run(tr.name, func(t *testing.T) {
+					if tr.flush {
+						// Named run files, so the empty-dir check below
+						// sees any the drain fails to remove.
+						defer verify.SetSpoolRunEntries(3)()
+						defer verify.SetSpillNamedFallback(true)()
+					}
 					opts := append([]verify.Option{
 						verify.WithWorkers(tr.workers), verify.WithMetrics(),
 						verify.WithConstraints(specs...),
@@ -151,6 +168,26 @@ func TestSpaceLadderMetamorphic(t *testing.T) {
 					}
 					compareReports(t, base, rep)
 					compareMetrics(t, base.Metrics, rep.Metrics)
+					if !tr.flush {
+						return
+					}
+					for _, fair := range []bool{false, true} {
+						want := base.Space.LeadsTo(base.Space.T, base.Space.S, fair)
+						got := rep.Space.LeadsTo(rep.Space.T, rep.Space.S, fair)
+						if fmt.Sprint(want.Holds, want.Stuck, want.Cycle) != fmt.Sprint(got.Holds, got.Stuck, got.Cycle) {
+							t.Errorf("LeadsTo(T, S, fair %v): want %v %v %v, got %v %v %v", fair,
+								want.Holds, want.Stuck, want.Cycle, got.Holds, got.Stuck, got.Cycle)
+						}
+					}
+					if _, spooled := rep.Space.SpillStats(); spooled == 0 {
+						t.Error("spill-flush tier spooled no frontier bytes")
+					}
+					if err := rep.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if ents, err := os.ReadDir(flushDir); err != nil || len(ents) != 0 {
+						t.Fatalf("spill dir after Close: %v entries, err %v", len(ents), err)
+					}
 				})
 			}
 		})

@@ -19,14 +19,6 @@ type LeadsToResult struct {
 	Cycle []*program.State
 }
 
-// forEachSucc invokes fn(j) for every enabled successor index j of state
-// i, in action order.
-func (sp *Space) forEachSucc(i int64, fn func(j int64)) {
-	for _, j := range sp.idx.out(i) {
-		fn(int64(j))
-	}
-}
-
 // LeadsTo decides the progress property "p leads to q within the region T"
 // (the space's fault-span acts as the region): every computation that
 // starts at a region state satisfying p reaches a state satisfying q.
@@ -48,8 +40,10 @@ func (sp *Space) LeadsTo(p, q *program.Predicate, fair bool) *LeadsToResult {
 }
 
 // LeadsToContext is LeadsTo with cancellation: predicate evaluation, the
-// reachability BFS (level-synchronized, atomic frontier deduplication) and
-// the stage convergence check are all sharded across the space's workers.
+// reachability BFS (waves, with atomic frontier deduplication; the stage
+// S collected in the same expansion) and the stage convergence check are
+// all sharded across the space's workers, and on the spill tier the BFS
+// frontiers spill like every other traversal's.
 func (sp *Space) LeadsToContext(ctx context.Context, p, q *program.Predicate, fair bool) (*LeadsToResult, error) {
 	span := startPass(sp.opts, PassLeadsTo, sp.Count)
 	pBits, err := sp.evalPred(ctx, p)
@@ -61,77 +55,54 @@ func (sp *Space) LeadsToContext(ctx context.Context, p, q *program.Predicate, fa
 		return nil, err
 	}
 
-	// Collect region states satisfying p but not q (p∧q states are
+	// Seed with the region states satisfying p but not q (p∧q states are
 	// immediately done), then run forward reachability stopping at
-	// q-states and region exits.
+	// q-states and region exits. Those stopping states are the stage's S:
+	// a transition out of `reach` necessarily hits q or leaves the region,
+	// and both discharge the obligation.
 	workers := sp.workers()
 	reach := newBitset(sp.Count)
-	lists := make([][]int64, workers)
+	cur := newFrontierSpool(sp.arena, workers)
+	defer cur.release()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if sp.inT.get(i) && pBits.get(i) && !qBits.get(i) {
 				reach.set(i)
-				lists[worker] = append(lists[worker], i)
+				cur.add(worker, i)
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	frontier := flatten(lists)
-	reached := append([]int64(nil), frontier...)
-	for len(frontier) > 0 {
-		span.observeFrontier(int64(len(frontier)))
-		next := make([][]int64, workers)
-		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
-			for w := lo; w < hi; w++ {
-				sp.forEachSucc(frontier[w], func(j int64) {
-					if !sp.inT.get(j) {
-						return // leaving the region ends the obligation
-					}
-					if qBits.get(j) {
-						return
-					}
-					if reach.testAndSet(j) {
-						next[worker] = append(next[worker], j)
-					}
-				})
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		frontier = flatten(next)
-		reached = append(reached, frontier...)
-	}
-	if len(reached) == 0 {
-		span.end(int64(0))
+	if cur.size() == 0 {
+		span.end(0)
 		return &LeadsToResult{Holds: true}, nil
+	}
+	stageS := newBitset(sp.Count)
+	reached, err := waves(ctx, sp.opts.Progress, &span, cur, func(worker int, _ int32, batch []int64, next *frontierSpool) {
+		for _, i := range batch {
+			for _, j := range sp.idx.out(i) {
+				jj := int64(j)
+				if !sp.inT.get(jj) || qBits.get(jj) {
+					stageS.testAndSet(jj)
+				} else if reach.testAndSet(jj) {
+					next.add(worker, jj)
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Reuse the deadlock/cycle analysis of the convergence checkers via a
 	// stage space sharing this space's successor table: stage T is the
-	// reachable set plus its one-step exits, stage S the exits. A
-	// transition out of `reach` necessarily hits q or leaves the region;
-	// both discharge the obligation, so both count as accepting.
-	stageS := newBitset(sp.Count)
-	err = parallelRange(ctx, workers, int64(len(reached)), sp.opts.Progress, func(worker int, lo, hi int64) {
-		for w := lo; w < hi; w++ {
-			sp.forEachSucc(reached[w], func(j int64) {
-				if !reach.get(j) {
-					stageS.testAndSet(j)
-				}
-			})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	stageT := newBitset(sp.Count)
-	stageT.orInto(reach)
+	// reachable set plus its one-step exits, stage S the exits.
+	stageT := reach
 	stageT.orInto(stageS)
 	// The reachability stage is done; the livelock analysis below runs on
 	// a derived stage space and emits its own convergence span.
-	span.end(int64(len(reached)))
+	span.end(reached)
 	stage := sp.derived(q, sp.T, stageS, stageT)
 	var conv *ConvergenceResult
 	if fair {

@@ -208,12 +208,10 @@ func (sp *Space) DistancesContext(ctx context.Context) ([]int32, error) {
 
 // distanceProfile computes, for every T state, the length of the shortest
 // action path to S (0 for S states, -1 when S is unreachable), and folds
-// the per-distance counts into m. It is a level-synchronized multi-source
-// BFS from S over the reverse CSR. visited claims region states
-// atomically, so a state reached through several edges of the same level
-// lands in exactly one worker's spool (and batching a level is safe —
-// expansion never reads dist). On the spill tier levels overflow to
-// sorted temp-file runs.
+// the per-distance counts into m. It is a multi-source backward BFS from
+// S (backwardWaves). visited claims region states atomically, so a state
+// reached through several edges of the same level joins exactly one
+// level (and batching a level is safe — expansion never reads dist).
 func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]int32, error) {
 	span := startPass(sp.opts, PassDistanceProfile, 0)
 	workers := sp.workers()
@@ -221,15 +219,11 @@ func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]in
 	for i := range dist {
 		dist[i] = -1
 	}
-	revOff, revPred, err := sp.predIndex(ctx)
-	if err != nil {
-		return nil, err
-	}
 
 	// Distance 0: the invariant itself (S ⊆ T by space construction).
 	cur := newFrontierSpool(sp.arena, workers)
-	defer func() { cur.release() }()
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+	defer cur.release()
+	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if sp.inS.get(i) {
 				dist[i] = 0
@@ -240,44 +234,28 @@ func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]in
 	if err != nil {
 		return nil, err
 	}
-	m.Profile = append(m.Profile, sp.CountS())
-
 	visited := newBitset(sp.Count)
-	for level := int32(1); cur.size() > 0; level++ {
-		span.observeFrontier(cur.size())
-		next := newFrontierSpool(sp.arena, workers)
-		weights := make([]int64, workers)
-		err := cur.drain(func(batch []int64) error {
-			return parallelRange(ctx, workers, int64(len(batch)), sp.opts.Progress, func(worker int, lo, hi int64) {
-				var lw int64
-				for w := lo; w < hi; w++ {
-					j := batch[w]
-					for _, p := range revPred[revOff[j]:revOff[j+1]] {
-						pp := int64(p)
-						if !sp.region(pp) || !visited.testAndSet(pp) {
-							continue
-						}
-						dist[pp] = level
-						next.add(worker, pp)
-						lw += sp.weightOf(pp)
-					}
-				}
-				weights[worker] += lw
-			})
-		})
-		cur = next
-		if err != nil {
-			return nil, err
+	err = sp.backwardWaves(ctx, &span, cur, func(p int64, level int32) bool {
+		if sp.region(p) && visited.testAndSet(p) {
+			dist[p] = level + 1
+			return true
 		}
-		if cur.size() > 0 {
-			var lw int64
-			for _, w := range weights {
-				lw += w
-			}
-			m.Profile = append(m.Profile, lw)
-		}
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
 
+	// The histogram is one orbit-weighted fold over dist.
+	m.Profile = []int64{0}
+	for i, d := range dist {
+		if d >= 0 {
+			for int(d) >= len(m.Profile) {
+				m.Profile = append(m.Profile, 0)
+			}
+			m.Profile[d] += sp.weightOf(int64(i))
+		}
+	}
 	m.MaxDistance = len(m.Profile) - 1
 	var reach, weighted int64
 	for d, n := range m.Profile {
@@ -302,23 +280,8 @@ func (sp *Space) worstMetrics(ctx context.Context, m *ToleranceMetrics) error {
 		return err
 	}
 	m.WorstMeasured = true
-	var worst int32
-	var sum, n int64
-	for i := int64(0); i < sp.Count; i++ {
-		if !sp.region(i) {
-			continue
-		}
-		if steps[i] > worst {
-			worst = steps[i]
-		}
-		sum += sp.weightOf(i) * int64(steps[i])
-		n += sp.weightOf(i)
-	}
-	m.WorstSteps = int(worst)
-	if n > 0 {
-		m.MeanWorstSteps = float64(sum) / float64(n)
-	}
-	return nil
+	m.WorstSteps, m.MeanWorstSteps, err = sp.worstStats(ctx, steps)
+	return err
 }
 
 // expectedSteps solves the expected-hitting-time equations for the
@@ -462,7 +425,8 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 
 	// Seeds: unreachable region states, and region states with a successor
 	// outside T (an escape counts as never recovering within the span).
-	seedLists := make([][]int64, workers)
+	cur := newFrontierSpool(sp.arena, workers)
+	defer cur.release()
 	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
@@ -482,41 +446,42 @@ func (sp *Space) doomedStates(ctx context.Context, dist []int32) (bitset, error)
 				}
 			}
 			if bad && doomed.testAndSet(i) {
-				seedLists[worker] = append(seedLists[worker], i)
+				cur.add(worker, i)
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	frontier := flatten(seedLists)
-	if len(frontier) == 0 {
-		return doomed, nil
-	}
-
-	revOff, revPred, err := sp.predIndex(ctx)
+	err = sp.backwardWaves(ctx, nil, cur, func(p int64, _ int32) bool {
+		return sp.region(p) && doomed.testAndSet(p)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for len(frontier) > 0 {
-		next := make([][]int64, workers)
-		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
-			for w := lo; w < hi; w++ {
-				j := frontier[w]
-				for _, p := range revPred[revOff[j]:revOff[j+1]] {
-					pp := int64(p)
-					if sp.region(pp) && doomed.testAndSet(pp) {
-						next[worker] = append(next[worker], pp)
-					}
+	return doomed, nil
+}
+
+// backwardWaves runs waves from the seeds in cur backwards over the
+// reverse CSR: a predecessor p of a level-l state joins level l+1 when
+// claim(p, l) wins it — a first claim, by atomic test-and-set, so each
+// state joins at most one level.
+func (sp *Space) backwardWaves(ctx context.Context, span *passSpan, cur *frontierSpool,
+	claim func(p int64, level int32) bool) error {
+	revOff, revPred, err := sp.predIndex(ctx)
+	if err != nil {
+		return err
+	}
+	_, err = waves(ctx, sp.opts.Progress, span, cur, func(worker int, level int32, batch []int64, next *frontierSpool) {
+		for _, j := range batch {
+			for _, p := range revPred[revOff[j]:revOff[j+1]] {
+				if pp := int64(p); claim(pp, level) {
+					next.add(worker, pp)
 				}
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
-		frontier = flatten(next)
-	}
-	return doomed, nil
+	})
+	return err
 }
 
 // constraintCost measures how long faults can keep one invariant conjunct
@@ -575,7 +540,8 @@ func (sp *Space) stableSubset(ctx context.Context, good bitset) (bitset, error) 
 	removed := newBitset(sp.Count)
 
 	// Seed: members with an edge out of the candidate set.
-	seedLists := make([][]int64, workers)
+	cur := newFrontierSpool(sp.arena, workers)
+	defer cur.release()
 	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !good.get(i) {
@@ -584,7 +550,7 @@ func (sp *Space) stableSubset(ctx context.Context, good bitset) (bitset, error) 
 			for _, j := range sp.idx.out(i) {
 				if !good.get(int64(j)) {
 					if removed.testAndSet(i) {
-						seedLists[worker] = append(seedLists[worker], i)
+						cur.add(worker, i)
 					}
 					break
 				}
@@ -594,29 +560,11 @@ func (sp *Space) stableSubset(ctx context.Context, good bitset) (bitset, error) 
 	if err != nil {
 		return nil, err
 	}
-	frontier := flatten(seedLists)
-
-	revOff, revPred, err := sp.predIndex(ctx)
+	err = sp.backwardWaves(ctx, nil, cur, func(p int64, _ int32) bool {
+		return good.get(p) && removed.testAndSet(p)
+	})
 	if err != nil {
 		return nil, err
-	}
-	for len(frontier) > 0 {
-		next := make([][]int64, workers)
-		err := parallelRange(ctx, workers, int64(len(frontier)), sp.opts.Progress, func(worker int, lo, hi int64) {
-			for w := lo; w < hi; w++ {
-				j := frontier[w]
-				for _, p := range revPred[revOff[j]:revOff[j+1]] {
-					pp := int64(p)
-					if good.get(pp) && removed.testAndSet(pp) {
-						next[worker] = append(next[worker], pp)
-					}
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		frontier = flatten(next)
 	}
 
 	stable := newBitset(sp.Count)

@@ -26,8 +26,8 @@ type SpanResult struct {
 // program actions and the given fault actions. This mechanizes the
 // paper's view that "all classes of faults can be represented as actions
 // that change the program state" (Section 3). Check runs it when
-// WithFaults is given. The initial-region scan and each BFS level are
-// sharded across opts.Workers goroutines; frontier deduplication uses
+// WithFaults is given. The initial-region scan and each BFS level (waves)
+// are sharded across opts.Workers goroutines; frontier deduplication uses
 // atomic test-and-set on the span bitset, so the computed span is exact
 // for any worker count.
 func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program.Action,
@@ -47,7 +47,9 @@ func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program
 	workers := opts.workers()
 	scr := newSchemaPairs(p.Schema, workers)
 	inSpan := newBitset(count)
-	lists := make([][]int64, workers)
+	// No Space exists yet, so there is no arena: the frontiers stay in RAM.
+	cur := newFrontierSpool(nil, workers)
+	defer cur.release()
 	span := startPass(opts, PassFaultSpan, count)
 	err := parallelRange(ctx, workers, count, opts.Progress, func(worker int, lo, hi int64) {
 		st := scr[worker].st
@@ -55,41 +57,33 @@ func FaultSpanContext(ctx context.Context, p *program.Program, faults []*program
 			sweepInto(codec, lo, i, st)
 			if init.Holds(st) {
 				inSpan.set(i)
-				lists[worker] = append(lists[worker], i)
+				cur.add(worker, i)
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	frontier := flatten(lists)
-	if len(frontier) == 0 {
+	if cur.size() == 0 {
 		return nil, fmt.Errorf("verify: initial region is empty")
 	}
-	spanCount := int64(len(frontier))
-	for len(frontier) > 0 {
-		span.observeFrontier(int64(len(frontier)))
-		next := make([][]int64, workers)
-		err := parallelRange(ctx, workers, int64(len(frontier)), opts.Progress, func(worker int, lo, hi int64) {
-			st, tmp := scr[worker].st, scr[worker].tmp
-			for w := lo; w < hi; w++ {
-				codec.Decode(frontier[w], st)
-				for _, a := range all {
-					if !a.Guard(st) {
-						continue
-					}
-					a.ApplyInto(st, tmp)
-					if j := codec.Encode(tmp); inSpan.testAndSet(j) {
-						next[worker] = append(next[worker], j)
-					}
+	spanCount, err := waves(ctx, opts.Progress, &span, cur, func(worker int, _ int32, batch []int64, next *frontierSpool) {
+		st, tmp := scr[worker].st, scr[worker].tmp
+		for _, i := range batch {
+			codec.Decode(i, st)
+			for _, a := range all {
+				if !a.Guard(st) {
+					continue
+				}
+				a.ApplyInto(st, tmp)
+				if j := codec.Encode(tmp); inSpan.testAndSet(j) {
+					next.add(worker, j)
 				}
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
-		frontier = flatten(next)
-		spanCount += int64(len(frontier))
+	})
+	if err != nil {
+		return nil, err
 	}
 	schema := p.Schema
 	pred := &program.Predicate{

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"unsafe"
+
+	"nonmask/internal/obs"
 )
 
 // The spill tier (DESIGN §13). When an instance's CSR does not fit the
@@ -34,12 +37,14 @@ const (
 	oTmpfileLinux = 0x410000
 	// spillPrefix names the visible fallback files the crash sweep scans.
 	spillPrefix = ".csspill-"
-	// spoolRunEntries is a frontier spool's per-worker buffer threshold:
-	// past it the buffer is sorted and flushed to a run file (8 MiB).
-	spoolRunEntries = 1 << 20
 	// spoolBatchEntries is the merge drain's batch size.
 	spoolBatchEntries = 1 << 20
 )
+
+// spoolRunEntries is a frontier spool's per-worker buffer threshold: past
+// it the buffer is sorted and flushed to a run file (8 MiB). A var so
+// tests can force every traversal through the run-merge drain.
+var spoolRunEntries = 1 << 20
 
 // spillNoOTmpfile forces the named-file fallback; the crash-sweep test
 // sets it so mid-kill leftovers are actually visible on disk.
@@ -393,6 +398,41 @@ func (fs *frontierSpool) drain(fn func(batch []int64) error) error {
 		return fn(batch)
 	}
 	return nil
+}
+
+// waves is the one breadth-first driver of the package. The caller seeds
+// cur (level 0); each level is drained in batches, every batch is
+// expanded in parallel by expand(worker, level, batch, next), and next
+// becomes the following level, until a level comes out empty. The
+// driver owns the level loop, the frontier peaks on span (nil for
+// passes that report no frontier), cancellation, and releasing every
+// spool. Expansions must claim the states they add (atomic
+// decrement-to-zero or test-and-set), so a level is a set and its batch
+// order cannot matter. visited counts the states of every level.
+func waves(ctx context.Context, prog *obs.Progress, span *passSpan, cur *frontierSpool,
+	expand func(worker int, level int32, batch []int64, next *frontierSpool)) (visited int64, err error) {
+	defer func() { cur.release() }()
+	workers := len(cur.bufs)
+	for level := int32(0); ; level++ {
+		n := cur.size()
+		if n == 0 {
+			return visited, nil
+		}
+		if span != nil {
+			span.observeFrontier(n)
+		}
+		visited += n
+		next := newFrontierSpool(cur.ar, workers)
+		err := cur.drain(func(batch []int64) error {
+			return parallelRange(ctx, workers, int64(len(batch)), prog, func(worker int, lo, hi int64) {
+				expand(worker, level, batch[lo:hi], next)
+			})
+		})
+		cur = next
+		if err != nil {
+			return visited, err
+		}
+	}
 }
 
 // release closes and removes every run file and drops the buffers.

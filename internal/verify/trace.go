@@ -10,7 +10,7 @@ import (
 // exactly one obs.PassStat span per execution under one of these names;
 // stage-level re-entries (a stair step's convergence check, leads-to's
 // embedded livelock analysis) emit their own spans, so a trace is the
-// full nesting-flattened history of what the checker did.
+// full history of what the checker did, nested passes included.
 const (
 	// PassEnumerate is state-space enumeration plus S/T evaluation.
 	PassEnumerate = "enumerate"
