@@ -439,3 +439,35 @@ func successorIndexSet(p *program.Program, st *program.State) map[int64]bool {
 	}
 	return out
 }
+
+// TestCompiledActionAllocsNothing pins the hot-loop contract of compiled
+// guards and bodies: the checker runs them at every state, so neither may
+// allocate. The body is a parallel assignment (a swap), whose right-hand
+// sides must all read the old state.
+func TestCompiledActionAllocsNothing(t *testing.T) {
+	m := mustLoad(t, `
+program swap;
+var x : 0..3;
+var y : 0..3;
+invariant SAME : x = y;
+action swap closure : x != y && x + y < 5 -> x, y := y, x;
+`)
+	a := m.Program.Actions[0]
+	st := m.Schema.NewState()
+	st.Set(0, 1)
+	st.Set(1, 2)
+	if !a.Guard(st) {
+		t.Fatal("swap disabled at x=1, y=2")
+	}
+	a.Body(st)
+	if st.Get(0) != 2 || st.Get(1) != 1 {
+		t.Fatalf("swap gave %s, want x=2, y=1", st)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if a.Guard(st) {
+			a.Body(st)
+		}
+	}); n != 0 {
+		t.Errorf("compiled guard and body allocate %.1f times per run, want 0", n)
+	}
+}

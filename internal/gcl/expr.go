@@ -394,10 +394,12 @@ func (c *compiler) compileAction(name string, kind program.ActionKind,
 	writeList := append([]program.VarID(nil), targets...)
 
 	body := func(st *program.State) {
-		// Parallel assignment: evaluate all RHS against the old state.
-		vals := make([]int32, len(rhs))
-		for i, e := range rhs {
-			vals[i] = e(st, nil)
+		// Parallel assignment: evaluate all RHS against the old state. The
+		// values stay on the stack for up to len(buf) targets.
+		var buf [16]int32
+		vals := buf[:0]
+		for _, e := range rhs {
+			vals = append(vals, e(st, nil))
 		}
 		for i, id := range targets {
 			st.Set(id, vals[i])

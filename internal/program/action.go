@@ -40,7 +40,13 @@ func (k ActionKind) String() string {
 // listed in Reads when the body reads their old value.
 //
 // Honest footprints are what make constraint graphs (paper Section 4)
-// meaningful; AuditAction checks them dynamically.
+// meaningful, and the model checker (internal/verify) builds its successor
+// index from them. It trusts Reads: a guard is re-evaluated only when a
+// variable in Reads changes (every state when Reads is empty), with a
+// fresh spot check once per sweep chunk. It verifies Writes: each
+// successor is encoded from the changes to Writes, and a body that
+// assigns anything else is caught and the space refused. AuditAction
+// checks both dynamically on random states.
 type Action struct {
 	Name  string
 	Kind  ActionKind
@@ -51,7 +57,10 @@ type Action struct {
 	Body   func(*State)
 }
 
-// NewAction builds an action with a canonicalized footprint.
+// NewAction builds an action with a canonicalized footprint. The checker
+// trusts reads and verifies writes (see Action): a guard that reads a
+// variable missing from reads can be evaluated on stale values, and is
+// caught only by a spot check.
 func NewAction(name string, kind ActionKind, reads, writes []VarID,
 	guard func(*State) bool, body func(*State)) *Action {
 	r := make([]VarID, len(reads))
@@ -82,8 +91,9 @@ func (a *Action) Apply(s *State) *State {
 
 // ApplyInto executes the action's statement on a copy of src placed in
 // dst, avoiding Apply's per-call allocation. src and dst must be states of
-// the same schema; dst is overwritten. It is the hot-loop form used by the
-// successor-table construction in internal/verify.
+// the same schema; dst is overwritten. It is the hot-loop form for loops
+// that need the successor as a state of its own (canonicalized, enqueued
+// or compared); a loop that needs only its index uses Codec.Successor.
 func (a *Action) ApplyInto(src, dst *State) {
 	dst.CopyFrom(src)
 	a.Body(dst)

@@ -7,7 +7,10 @@ package program
 // form for per-state loops:
 //
 //   - an ascending sweep decodes its first state and then steps the
-//     odometer (Next), which needs no division;
+//     odometer (Next), which needs no division and reports which
+//     variables the step changed;
+//   - a successor whose writes are declared is encoded from them alone
+//     (Successor);
 //   - any other decode (Decode) or encode (Encode) reads the cached
 //     radices and strides instead of recomputing each domain's size.
 //
@@ -79,17 +82,40 @@ func (c *Codec) Encode(st *State) int64 {
 
 // Next advances st to the state with the next index: the last variable
 // is incremented, carrying into the one before it when it wraps. It
-// reports false, leaving every variable at its minimum, when st was the
-// last state.
-func (c *Codec) Next(st *State) bool {
+// returns the lowest variable position it changed, so only positions
+// [v, Len) can differ from the state before the step. It returns -1,
+// leaving every variable at its minimum, when st was the last state.
+func (c *Codec) Next(st *State) int {
 	maxs := c.max
 	vals, mins := st.vals[:len(maxs)], c.min[:len(maxs)]
 	for v := len(maxs) - 1; v >= 0; v-- {
 		if vals[v] < maxs[v] {
 			vals[v]++
-			return true
+			return v
 		}
 		vals[v] = mins[v]
 	}
-	return false
+	return -1
+}
+
+// Successor runs a's body on st in place and returns the index of the
+// state it produced, given i, the index of st: i plus, for each declared
+// write, the change of that variable times its stride. It then restores
+// the declared writes from save, which must hold len(a.Writes) values.
+// The encode therefore trusts Writes: st is state i again afterwards
+// unless the body changed a variable outside them, which callers check
+// with one Encode per state rather than one per successor.
+func (c *Codec) Successor(a *Action, st *State, i int64, save []int32) int64 {
+	vals := st.vals
+	for k, w := range a.Writes {
+		save[k] = vals[w]
+	}
+	a.Body(st)
+	// Restoring inside the delta loop keeps a duplicated write from
+	// counting its change twice.
+	for k, w := range a.Writes {
+		i += (int64(vals[w]) - int64(save[k])) * c.stride[w]
+		vals[w] = save[k]
+	}
+	return i
 }

@@ -53,13 +53,22 @@ func checkCodec(t *testing.T, s *Schema, c *Codec, i int64, rng *rand.Rand) {
 		t.Fatalf("Encode(Decode(%d)) = %d", i, got)
 	}
 	next := st.Clone()
-	more := c.Next(next)
+	v := c.Next(next)
 	if count, _ := s.StateCount(); i+1 < count {
-		if want := s.StateAt(i + 1); !more || !next.Equal(want) {
-			t.Fatalf("Next(Decode(%d)) = %s, %v; want %s, true", i, next, more, want)
+		if want := s.StateAt(i + 1); v < 0 || !next.Equal(want) {
+			t.Fatalf("Next(Decode(%d)) = %s, %d; want %s and a position", i, next, v, want)
 		}
-	} else if want := s.NewState(); more || !next.Equal(want) {
-		t.Fatalf("Next(last state) = %s, %v; want %s, false", next, more, want)
+		// The returned position changed, and none before it did.
+		if next.vals[v] == st.vals[v] {
+			t.Fatalf("Next(Decode(%d)) reported position %d, which did not change", i, v)
+		}
+		for u := 0; u < v; u++ {
+			if next.vals[u] != st.vals[u] {
+				t.Fatalf("Next(Decode(%d)) reported position %d, but %d changed", i, v, u)
+			}
+		}
+	} else if want := s.NewState(); v != -1 || !next.Equal(want) {
+		t.Fatalf("Next(last state) = %s, %d; want %s, -1", next, v, want)
 	}
 	succ := randomState(s, rng)
 	if got, want := c.Encode(succ), s.Index(succ); got != want {
@@ -136,4 +145,50 @@ func TestNewCodecPanicsOnOverflow(t *testing.T) {
 		}
 	}()
 	NewCodec(s)
+}
+
+// TestCodecSuccessorMatchesIndex checks the write-local encode at every
+// state where the action is enabled: the index equals Index of Apply and
+// the state is restored — also with a write listed twice — while a body
+// that writes outside Writes leaves the state changed for the caller's
+// check to see.
+func TestCodecSuccessorMatchesIndex(t *testing.T) {
+	s := NewSchema()
+	x := s.MustDeclare("x", IntRange(-1, 2))
+	y := s.MustDeclare("y", Enum("a", "b", "c"))
+	z := s.MustDeclare("z", IntRange(0, 4))
+	rotate := func(st *State) {
+		st.Set(x, (st.Get(x)+2)%4-1)
+		st.Set(z, (st.Get(z)+st.Get(y))%5)
+	}
+	enabled := func(st *State) bool { return st.Get(y) != 1 }
+	honest := NewAction("rotate", Convergence, []VarID{x, y, z}, []VarID{z, x}, enabled, rotate)
+	twice := &Action{Name: "twice", Reads: honest.Reads, Writes: []VarID{x, z, x}, Guard: enabled, Body: rotate}
+	hidden := NewAction("hidden", Convergence, []VarID{x, y, z}, []VarID{x}, enabled, rotate)
+	c := NewCodec(s)
+	save := make([]int32, 3)
+	caught := 0
+	for i := int64(0); i < c.Count(); i++ {
+		st := s.StateAt(i)
+		if !enabled(st) {
+			continue
+		}
+		for _, a := range []*Action{honest, twice} {
+			if got, want := c.Successor(a, st, i, save), s.Index(a.Apply(st)); got != want {
+				t.Fatalf("%s: Successor at %s = %d, Index of Apply = %d", a.Name, st, got, want)
+			}
+			if c.Encode(st) != i {
+				t.Fatalf("%s: Successor left %s, not state %d", a.Name, st, i)
+			}
+		}
+		next := s.Index(hidden.Apply(st))
+		if got := c.Successor(hidden, st, i, save); c.Encode(st) != i {
+			caught++
+		} else if got != next {
+			t.Fatalf("hidden write at state %d went unseen", i)
+		}
+	}
+	if caught == 0 {
+		t.Fatal("the hidden write never changed a value")
+	}
 }

@@ -2,7 +2,9 @@ package verify_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"nonmask/internal/program"
@@ -36,8 +38,8 @@ type csrModel struct {
 }
 
 // csrModels returns every registry catalog entry at its smallest
-// advertised parameters, two multi-chunk catalog instances, and every
-// testdata/*.gcl model.
+// advertised parameters, two multi-chunk catalog instances, the synthetic
+// footprint model, and every testdata/*.gcl model.
 func csrModels(t *testing.T) map[string]csrModel {
 	t.Helper()
 	models := make(map[string]csrModel)
@@ -77,7 +79,52 @@ func csrModels(t *testing.T) map[string]csrModel {
 	for name, m := range gclModels(t) {
 		models["gcl/"+name] = csrModel{m.Program, m.S, m.T}
 	}
+	models["synthetic/footprints"] = footprintModel()
 	return models
+}
+
+// footprintSchema is the schema of the synthetic footprint models:
+// 6·7·9·11·15 = 62,370 states, four sweep chunks whose boundaries fall
+// inside every variable's digit.
+func footprintSchema() (*program.Schema, []program.VarID) {
+	s := program.NewSchema()
+	var x []program.VarID
+	for v, hi := range []int32{5, 6, 8, 10, 14} {
+		x = append(x, s.MustDeclare(fmt.Sprintf("x%d", v), program.IntRange(0, hi)))
+	}
+	return s, x
+}
+
+// footprintModel is an honest program over footprintSchema with the
+// cases the sweeps' guard memo and write-local encoder special-case: an
+// action with no reads, one that reads only variable 0 (its guard changes
+// every 10,395 states, never at a chunk boundary), a three-write
+// parallel assignment with a write it never reads, and one that reads
+// the last variable.
+func footprintModel() csrModel {
+	s, x := footprintSchema()
+	ids := func(v ...program.VarID) []program.VarID { return v }
+	p := program.New("footprints", s).Add(
+		program.NewAction("settle", program.Closure, nil, ids(x[2]),
+			func(*program.State) bool { return true },
+			func(st *program.State) { st.Set(x[2], 4) }),
+		program.NewAction("low", program.Convergence, ids(x[0]), ids(x[0]),
+			func(st *program.State) bool { return st.Get(x[0])%2 == 0 },
+			func(st *program.State) { st.Set(x[0], st.Get(x[0])+1) }),
+		program.NewAction("swap", program.Convergence, ids(x[1], x[3]), ids(x[1], x[3], x[4]),
+			func(st *program.State) bool { return st.Get(x[1]) < st.Get(x[3]) && st.Get(x[3]) <= 6 },
+			func(st *program.State) {
+				a, b := st.Get(x[1]), st.Get(x[3])
+				st.Set(x[1], b)
+				st.Set(x[3], a)
+				st.Set(x[4], (a+b)%15)
+			}),
+		program.NewAction("drain", program.Convergence, ids(x[2], x[4]), ids(x[4]),
+			func(st *program.State) bool { return st.Get(x[4]) > st.Get(x[2]) },
+			func(st *program.State) { st.Set(x[4], st.Get(x[4])-1) }),
+	)
+	S := program.NewPredicate("odd", ids(x[0]), func(st *program.State) bool { return st.Get(x[0])%2 == 1 })
+	return csrModel{p, S, program.True()}
 }
 
 // TestForwardCSRMatchesReferenceEncoder pins the engine's forward CSR —
@@ -112,6 +159,56 @@ func TestForwardCSRMatchesReferenceEncoder(t *testing.T) {
 					}
 					if err := sp.Close(); err != nil {
 						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// dishonestActions returns two actions over footprintSchema whose
+// footprints lie, each with the declared set it lies about: a body that
+// writes a variable outside Writes, and a guard that reads one outside
+// Reads, positioned after its declared reads so the sweeps' guard memo
+// never re-evaluates it for that variable's changes.
+func dishonestActions() map[*program.Action]string {
+	_, x := footprintSchema()
+	ids := func(v ...program.VarID) []program.VarID { return v }
+	return map[*program.Action]string{
+		program.NewAction("leak", program.Convergence, ids(x[1], x[2]), ids(x[1]),
+			func(st *program.State) bool { return st.Get(x[1]) < 6 },
+			func(st *program.State) {
+				st.Set(x[1], st.Get(x[1])+1)
+				st.Set(x[2], (st.Get(x[2])+1)%9)
+			}): "Writes",
+		program.NewAction("peek", program.Convergence, ids(x[0]), ids(x[0]),
+			func(st *program.State) bool { return st.Get(x[0]) < 5 && st.Get(x[4])%2 == 0 },
+			func(st *program.State) { st.Set(x[0], st.Get(x[0])+1) }): "Reads",
+	}
+}
+
+// TestNewSpaceRefusesDishonestFootprints checks that both dishonest
+// actions are refused on every tier and worker count, with an error
+// naming the action and the declared set it lies about, rather than
+// yielding a wrong CSR.
+func TestNewSpaceRefusesDishonestFootprints(t *testing.T) {
+	s, _ := footprintSchema()
+	for a, lies := range dishonestActions() {
+		t.Run(a.Name, func(t *testing.T) {
+			p := program.New("dishonest", s).Add(a)
+			for _, mode := range []verify.SpaceMode{verify.SpaceFull, verify.SpaceSpill} {
+				for _, workers := range []int{1, 4} {
+					opts := verify.Options{Workers: workers, SpaceMode: mode}
+					if mode == verify.SpaceSpill {
+						opts.SpillDir = t.TempDir()
+					}
+					sp, err := verify.NewSpaceContext(context.Background(), p, program.True(), program.True(), opts)
+					if err == nil {
+						_ = sp.Close()
+						t.Fatalf("%s workers=%d: dishonest footprint accepted", mode, workers)
+					}
+					if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", a.Name)) || !strings.Contains(msg, lies) {
+						t.Errorf("%s workers=%d: error %q does not name action %q and its %s", mode, workers, msg, a.Name, lies)
 					}
 				}
 			}

@@ -102,29 +102,51 @@ func (g *succIndex) fwdBytes() int64 {
 // tier past the limits of csrFits with a plain error. On the spill tier
 // the arrays are allocated as mmap'd segment files, filled, and sealed
 // read-only.
+//
+// Both sweeps work from the actions' footprints. A guardMemo re-evaluates
+// only the guards whose declared reads an odometer step changed, and
+// outside quotient mode each successor is encoded from the action's
+// declared writes alone (Codec.Successor), on the walked state itself.
+// Neither footprint is taken on faith: the counting sweep compares the
+// memo with a fresh evaluation of every guard at each chunk's last state,
+// and the fill sweep re-encodes the walked state once per state to prove
+// the bodies touched nothing but their writes. A failed check refuses the
+// space with an error naming the action.
 func (sp *Space) buildSuccIndex(ctx context.Context) error {
+	f, err := newFootprints(sp.P)
+	if err != nil {
+		return err
+	}
 	// The progress hint is 2·Count: the counting sweep and the fill sweep
 	// each visit every state once.
 	span := startPass(sp.opts, PassSuccTable, 2*sp.Count)
 	workers := sp.workers()
 	nChunks := (sp.Count + chunkStates - 1) / chunkStates
 	chunkBase := make([]int64, nChunks)
-	scr := sp.newStates()
-	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
+	pairs := sp.newStatePairs()
+	memos := make([]guardMemo, workers)
+	for w := range memos {
+		memos[w].on = make([]bool, sp.nA)
+	}
+	stale := newWitness()
+	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+		st, m := pairs[worker].st, &memos[worker]
 		var n int64
 		for i := lo; i < hi; i++ {
-			sp.walkInto(lo, i, st)
-			for _, a := range sp.P.Actions {
-				if a.Guard(st) {
-					n++
-				}
-			}
+			m.advance(f, st, sp.walkInto(lo, i, st))
+			n += m.n
+		}
+		if a := m.stale(f, st); a >= 0 {
+			stale.offer(hi-1, int64(a))
 		}
 		chunkBase[lo/chunkStates] = n
 	})
 	if err != nil {
 		return err
+	}
+	if stale.found() {
+		return fmt.Errorf("verify: action %q of %q reads a variable outside its declared Reads: its guard at %s disagrees with the value memoized from them",
+			sp.P.Actions[stale.extra].Name, sp.P.Name, sp.State(stale.state))
 	}
 	var total int64
 	for c := range chunkBase {
@@ -155,25 +177,47 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	} else {
 		g.offsets, g.edges = make([]uint32, sp.Count+1), make([]int32, total)
 	}
-	pairs := sp.newStatePairs()
+	saves := make([][]int32, workers)
+	for w := range saves {
+		saves[w] = make([]int32, f.maxWrites)
+	}
+	unrestored := newWitness()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st, tmp := pairs[worker].st, pairs[worker].tmp
+		st, tmp, m, save := pairs[worker].st, pairs[worker].tmp, &memos[worker], saves[worker]
 		cur := chunkBase[lo/chunkStates]
 		for i := lo; i < hi; i++ {
-			sp.walkInto(lo, i, st)
+			m.advance(f, st, sp.walkInto(lo, i, st))
 			g.offsets[i] = uint32(cur)
-			for _, a := range sp.P.Actions {
-				if !a.Guard(st) {
-					continue
+			if sp.quot != nil {
+				// Representatives are decoded, not walked, and every
+				// successor is canonicalized from a full copy.
+				for a, on := range m.on {
+					if on {
+						f.acts[a].ApplyInto(st, tmp)
+						g.edges[cur] = int32(sp.indexOf(tmp))
+						cur++
+					}
 				}
-				a.ApplyInto(st, tmp)
-				g.edges[cur] = int32(sp.indexOf(tmp))
-				cur++
+				continue
+			}
+			for a, on := range m.on {
+				if on {
+					g.edges[cur] = int32(sp.codec.Successor(f.acts[a], st, i, save))
+					cur++
+				}
+			}
+			if m.n > 0 && sp.codec.Encode(st) != i {
+				// The walk is off its index; the rest of the chunk is lost.
+				unrestored.offer(i, 0)
+				return
 			}
 		}
 	})
 	if err != nil {
 		return err
+	}
+	if unrestored.found() {
+		return sp.undeclaredWrite(f, unrestored.state)
 	}
 	g.offsets[sp.Count] = uint32(total)
 	sp.idx = g
@@ -182,6 +226,105 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	}
 	span.endSized(sp.Count, total, g.fwdBytes())
 	return nil
+}
+
+// footprints is buildSuccIndex's plan of a program's declared reads and
+// writes. byTop lists the action ids by their highest declared read,
+// descending, and upTo[v] counts those whose highest read is ≥ v: an
+// odometer step that changed positions [v, n) can flip exactly the first
+// upTo[v] guards. An action with no declared reads counts as reading the
+// last variable, so its guard is evaluated at every state. maxWrites
+// sizes each worker's Codec.Successor save buffer.
+type footprints struct {
+	acts      []*program.Action
+	byTop     []int32
+	upTo      []int
+	maxWrites int
+}
+
+// newFootprints plans p's footprints, refusing one that names a variable
+// outside the schema.
+func newFootprints(p *program.Program) (*footprints, error) {
+	n := p.Schema.Len()
+	f := &footprints{
+		acts:  p.Actions,
+		byTop: make([]int32, len(p.Actions)),
+		upTo:  make([]int, max(n, 1)),
+	}
+	top := make([]int, len(p.Actions))
+	for a, act := range p.Actions {
+		top[a] = max(n-1, 0)
+		if len(act.Reads) > 0 {
+			top[a] = int(slices.Max(act.Reads))
+		}
+		for _, id := range act.Footprint() {
+			if id < 0 || int(id) >= n {
+				return nil, fmt.Errorf("verify: action %q of %q names undeclared variable %d", act.Name, p.Name, id)
+			}
+		}
+		f.byTop[a] = int32(a)
+		f.maxWrites = max(f.maxWrites, len(act.Writes))
+		for v := 0; v <= top[a]; v++ {
+			f.upTo[v]++
+		}
+	}
+	slices.SortStableFunc(f.byTop, func(x, y int32) int { return top[y] - top[x] })
+	return f, nil
+}
+
+// guardMemo is one worker's memo of every guard along an ascending sweep:
+// on[a] is action a's guard at the current state and n counts the true
+// entries. It trusts the declared reads (see footprints); stale is the
+// spot check of that trust.
+type guardMemo struct {
+	on []bool
+	n  int64
+}
+
+// advance brings the memo to st after a step that changed positions
+// [v, n) — v = 0 for a decoded state re-evaluates every guard.
+func (m *guardMemo) advance(f *footprints, st *program.State, v int) {
+	for _, a := range f.byTop[:f.upTo[v]] {
+		if g := f.acts[a].Guard(st); g != m.on[a] {
+			m.on[a] = g
+			if g {
+				m.n++
+			} else {
+				m.n--
+			}
+		}
+	}
+}
+
+// stale returns the first action whose memoized guard differs from a
+// fresh evaluation at st, or -1.
+func (m *guardMemo) stale(f *footprints, st *program.State) int {
+	for a, act := range f.acts {
+		if act.Guard(st) != m.on[a] {
+			return a
+		}
+	}
+	return -1
+}
+
+// undeclaredWrite names the action behind a failed write check at full
+// index i, on the cold path: the first enabled action whose write-local
+// successor differs from the reference Schema.Index of Apply, or that
+// leaves the state changed once its writes are restored.
+func (sp *Space) undeclaredWrite(f *footprints, i int64) error {
+	st := sp.P.Schema.StateAt(i)
+	save := make([]int32, f.maxWrites)
+	for _, a := range sp.P.Actions {
+		if !a.Guard(st) {
+			continue
+		}
+		local := st.Clone()
+		if sp.codec.Successor(a, local, i, save) != sp.P.Schema.Index(a.Apply(st)) || !local.Equal(st) {
+			return fmt.Errorf("verify: action %q of %q writes a variable outside its declared Writes (at state %s)",
+				a.Name, sp.P.Name, st)
+		}
+	}
+	return fmt.Errorf("verify: the actions of %q left state %s changed, but none does so alone", sp.P.Name, st)
 }
 
 // predIndex returns the reverse CSR (per-state predecessor lists, one

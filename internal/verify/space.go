@@ -279,25 +279,28 @@ func (sp *Space) stateInto(i int64, st *program.State) {
 
 // walkInto is stateInto for an ascending sweep over [lo, hi) that
 // visits every state: outside quotient mode it steps the odometer (see
-// sweepInto). Loops that skip states, or write st, use stateInto.
-func (sp *Space) walkInto(lo, i int64, st *program.State) {
+// sweepInto). It returns the lowest variable position that may differ
+// from the state before: 0 whenever st was decoded outright. Loops that
+// skip states, or write st, use stateInto.
+func (sp *Space) walkInto(lo, i int64, st *program.State) int {
 	if sp.quot != nil {
 		sp.stateInto(i, st)
-		return
+		return 0
 	}
-	sweepInto(sp.codec, lo, i, st)
+	return sweepInto(sp.codec, lo, i, st)
 }
 
 // sweepInto writes full-product state i of an ascending sweep over
 // [lo, hi) into st, which must hold state i-1 when i > lo: only the
 // first state of the range is decoded, every later one is one odometer
-// step, with no division.
-func sweepInto(codec *program.Codec, lo, i int64, st *program.State) {
+// step, with no division. It returns the lowest position that changed
+// (0 for the decoded first state).
+func sweepInto(codec *program.Codec, lo, i int64, st *program.State) int {
 	if i == lo {
 		codec.Decode(i, st)
-		return
+		return 0
 	}
-	codec.Next(st)
+	return codec.Next(st)
 }
 
 // indexOf encodes st back to a state index: a straight mixed-radix encode

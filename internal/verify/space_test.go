@@ -67,6 +67,18 @@ func TestNewSpaceRejectsSNotSubsetT(t *testing.T) {
 	}
 }
 
+func TestNewSpaceRejectsUndeclaredFootprintVariable(t *testing.T) {
+	p, S, x := counter(t, 5, 5)
+	p.Add(program.NewAction("stray", program.Convergence,
+		[]program.VarID{x}, []program.VarID{x + 1},
+		func(st *program.State) bool { return false },
+		func(*program.State) {}))
+	_, err := NewSpaceContext(context.Background(), p, S, program.True(), Options{})
+	if err == nil || !strings.Contains(err.Error(), `action "stray"`) {
+		t.Errorf("NewSpace with a write outside the schema: %v", err)
+	}
+}
+
 func TestCheckClosedHolds(t *testing.T) {
 	p, S, x := counter(t, 5, 5)
 	sp, err := NewSpaceContext(context.Background(), p, S, program.True(), Options{})

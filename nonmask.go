@@ -63,7 +63,9 @@ var (
 	NewSchema = program.NewSchema
 	// NewPredicate builds a named predicate with a declared support.
 	NewPredicate = program.NewPredicate
-	// NewAction builds a guarded command with a declared footprint.
+	// NewAction builds a guarded command with a declared footprint. The
+	// checker trusts the declared reads (a guard is re-evaluated only when
+	// one of them changes) and verifies the declared writes.
 	NewAction = program.NewAction
 	// NewProgram returns an empty program over a schema.
 	NewProgram = program.New
