@@ -150,7 +150,7 @@ func DistanceMetric(schema *program.Schema, dist []int32) Metric {
 
 // NewWorstCase returns the exact adversarial daemon for a convergent
 // program: it greedily maximizes the worst-case distance table produced by
-// verify's sharded fixpoint (Space.WorstDistances), realizing the true
+// verify's longest-path DFS (Space.WorstDistances), realizing the true
 // worst-case schedule of the paper's variant-function bound.
 func NewWorstCase(schema *program.Schema, dist []int32) *Adversarial {
 	return NewAdversarial("worst-case", DistanceMetric(schema, dist))

@@ -40,7 +40,8 @@ type PassStat struct {
 	// frontier-driven passes) the pass processed.
 	States int64 `json:"states"`
 	// Frontier is the peak BFS frontier / wave size, for the passes that
-	// have one (fault-span, leads-to, the convergence wave loop).
+	// have one (fault-span, leads-to, the distance profile), or the peak
+	// DFS depth of the arbitrary-daemon convergence pass.
 	Frontier int64 `json:"frontier,omitempty"`
 	// Workers is the goroutine count the pass was sharded across.
 	Workers int `json:"workers"`

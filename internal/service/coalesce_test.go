@@ -138,35 +138,56 @@ func TestCancelQueuedLeaderCancelsFollowers(t *testing.T) {
 }
 
 // TestMetricsExposeCoalescedAndIndexSizes checks the new exposition lines:
-// the single-flight counter and the per-pass edges/bytes totals.
+// the single-flight counter and the per-pass edges/bytes totals. A plain
+// verdict job builds only the forward index; the reverse index
+// (pred_table) appears once a metrics job walks backwards.
 func TestMetricsExposeCoalescedAndIndexSizes(t *testing.T) {
 	s := New(Config{Executors: 1})
 	defer s.Shutdown(context.Background())
-	st, err := s.Submit(ringSpec(3, 5))
-	if err != nil {
-		t.Fatal(err)
+	exposition := func(spec JobSpec) string {
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, s, st.ID)
+		var b strings.Builder
+		s.metrics.WritePrometheus(&b)
+		return b.String()
 	}
-	waitTerminal(t, s, st.ID)
-
-	var b strings.Builder
-	s.metrics.WritePrometheus(&b)
-	out := b.String()
+	out := exposition(ringSpec(3, 5))
 	for _, want := range []string{
 		"csserved_jobs_coalesced_total 0",
 		`csserved_pass_edges_total{pass="succ_table"}`,
 		`csserved_pass_bytes_total{pass="succ_table"}`,
-		`csserved_pass_edges_total{pass="pred_table"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	if strings.Contains(out, `pass="pred_table"`) {
+		t.Errorf("a plain verdict job built the reverse index:\n%s", out)
+	}
 	// succ_table measured a positive edge count for the ring.
+	nonZero(t, out, `csserved_pass_edges_total{pass="succ_table"} `)
+
+	metrics := ringSpec(3, 5)
+	metrics.Options.Analyses = []string{AnalysisMetrics}
+	out = exposition(metrics)
+	nonZero(t, out, `csserved_pass_edges_total{pass="pred_table"} `)
+	nonZero(t, out, `csserved_pass_bytes_total{pass="pred_table"} `)
+}
+
+// nonZero asserts that the exposition has the series line starting with
+// prefix and that its value is not zero.
+func nonZero(t *testing.T, out, prefix string) {
+	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, `csserved_pass_edges_total{pass="succ_table"} `) {
+		if strings.HasPrefix(line, prefix) {
 			if strings.HasSuffix(line, " 0") {
-				t.Errorf("succ_table edges total is zero: %q", line)
+				t.Errorf("series is zero: %q", line)
 			}
+			return
 		}
 	}
+	t.Errorf("metrics exposition missing %q", prefix)
 }

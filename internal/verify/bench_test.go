@@ -1,5 +1,5 @@
 // Benchmarks for the tentpole rebuild: packed bitsets, precomputed
-// successor tables, and sharded fixpoint passes. The headline numbers are
+// successor tables, and sharded passes. The headline numbers are
 // the Workers=1 vs Workers=4 convergence benchmark on a >=1<<20-state
 // instance and the end-to-end Check on an instance above the old 1<<22
 // enumeration ceiling.
@@ -52,6 +52,9 @@ func BenchmarkConvergenceWorkers1(b *testing.B) { benchConvergence(b, 1) }
 // BenchmarkConvergenceWorkers4 is the sharded run the speedup claim
 // compares against BenchmarkConvergenceWorkers1 (compare with
 // benchstat or the ns/op ratio; the ratio requires >= 4 CPUs to show).
+// Enumeration, the successor index, the closure scans and the region
+// scan shard; the verdict's longest-path DFS is sequential at every
+// worker count, so the ratio bounds what the sharded passes buy.
 func BenchmarkConvergenceWorkers4(b *testing.B) { benchConvergence(b, 4) }
 
 // BenchmarkCheckAboveOldCeiling runs the full pipeline — enumeration,

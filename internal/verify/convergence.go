@@ -3,9 +3,8 @@ package verify
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"nonmask/internal/program"
 )
@@ -88,39 +87,68 @@ func (sp *Space) CheckConvergence() *ConvergenceResult {
 	return res
 }
 
-// CheckConvergenceContext is CheckConvergence with cancellation: the
-// sharded backward fixpoint of checkConvergenceKahn. Verdicts and
-// witnesses do not depend on the worker count.
+// CheckConvergenceContext is CheckConvergence with cancellation. The
+// verdict is computed at most once per space (see unfair), so a Check's
+// verdict also seeds WorstDistances for the metrics passes and the
+// adversarial daemon. Verdicts and witnesses do not depend on the worker
+// count.
 func (sp *Space) CheckConvergenceContext(ctx context.Context) (*ConvergenceResult, error) {
-	res, _, err := sp.checkConvergenceKahn(ctx)
-	return res, err
+	res, _, err := sp.unfair(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cp := *res
+	return &cp, nil
 }
 
-// checkConvergenceKahn decides arbitrary-daemon convergence by peeling the
-// region T∧¬S backwards from S in waves (Kahn's algorithm on the reversed
-// region graph):
+// unfair returns the space's arbitrary-daemon verdict and, when it
+// converges, its worst-case steps table, computing both on the first call
+// and caching them under stepsMu. An error (cancellation) caches nothing.
+func (sp *Space) unfair(ctx context.Context) (*ConvergenceResult, []int32, error) {
+	sp.stepsMu.Lock()
+	defer sp.stepsMu.Unlock()
+	if sp.unfairRes == nil {
+		res, steps, err := sp.longestPaths(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		sp.unfairRes, sp.stepsTab = res, steps
+	}
+	return sp.unfairRes, sp.stepsTab, nil
+}
+
+// stuckSteps marks, in longestPaths' steps table, a region state that
+// reaches a region cycle.
+const stuckSteps = math.MinInt32
+
+// longestPaths decides arbitrary-daemon convergence and computes the
+// exact worst-case steps table,
 //
-//	wave 0:  region states all of whose region successors... none — i.e.
-//	         states whose every successor already satisfies S;
-//	wave k:  states whose region successors all resolved in waves < k.
+//	steps[i] = max over enabled actions of (1 if succ∈S else steps[succ]+1),
 //
-// Each wave computes exact worst-case step counts
-// (steps[i] = max over enabled actions of 1 if succ∈S else steps[succ]+1)
-// because every region successor is resolved in a strictly earlier wave;
-// the barrier between waves provides the happens-before for those reads.
-// Predecessor release uses an atomic decrement, whose transition to zero
-// gives a unique owner the right to schedule the state, so waves are
-// duplicate-free. If the peeling stalls with unresolved states, those
-// states all lie on or reach region cycles; a sequential DFS over them
-// extracts a concrete cycle witness.
+// by one iterative post-order DFS over the forward CSR restricted to the
+// region T∧¬S. Roots go in ascending state order and edges in CSR
+// (action) order. steps doubles as the colour: 0 is unvisited, ≥1 is
+// final, and a negative entry is a state on the DFS path (holding −1 −
+// its best so far) or stuckSteps. A state finishes once every edge is
+// examined; it is stuck when some region successor was on the path (a
+// cycle closes) or stuck (a cycle is reachable). The stuck states are
+// therefore exactly the region states that reach a region cycle, and
+// cycleWitness extracts a concrete cycle from them.
+//
+// Each frame is 8 bytes (state, next edge position); on an acyclic region
+// the stack is at most WorstSteps+1 deep, and the span reports the peak
+// depth as its Frontier. The walk is sequential at every worker count;
+// only the region scan before it is sharded.
 //
 // The returned steps table (valid only when res.Converges) is the exact
 // variant function of the paper's Section 8: it strictly decreases on every
 // convergence step under the worst daemon.
-func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResult, _ []int32, err error) {
-	// Total 0: the wave fixpoint processes work items, not states, so the
-	// space size is not a meaningful progress bound.
-	span := startPass(sp.opts, PassConvergeUnfair, 0)
+func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []int32, err error) {
+	region := countAndNot(sp.inT, sp.inS)
+	// Progress: the region scan visits every state, then the DFS finishes
+	// every region state once.
+	span := startPass(sp.opts, PassConvergeUnfair, sp.Count+region)
 	defer func() {
 		if err == nil {
 			span.end(sp.Count)
@@ -132,17 +160,101 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 	if res.StatesOutsideS == 0 {
 		return res, steps, nil
 	}
-	workers := sp.workers()
+	if exits, err := sp.regionExits(ctx, res); err != nil {
+		return nil, nil, err
+	} else if exits {
+		return res, nil, nil
+	}
 
-	// Phase 1: scan the region. outstanding[i] counts i's region
-	// successors; escapes and deadlocks surface here with minimum-index
-	// witnesses (the escape payload is an edge rank, see actionAt). States
-	// with no region successors seed the first wave.
-	outstanding := make([]int32, sp.Count)
+	type frame struct {
+		state int32
+		next  uint32 // position in edges of the next edge to examine
+	}
+	var (
+		stack    []frame
+		peak     int
+		finished int64
+		worst    int32
+		sum      int64
+		cyclic   bool
+	)
+	off, edges, inS := sp.idx.offsets, sp.idx.edges, sp.inS
+	for root := int64(0); root < sp.Count; root++ {
+		if !sp.region(root) || steps[root] != 0 {
+			continue
+		}
+		steps[root] = -1
+		stack = append(stack, frame{state: int32(root), next: off[root]})
+		peak = max(peak, 1)
+	walk:
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			v := f.state
+			acc := steps[v]
+			for e, end := f.next, off[v+1]; e < end; e++ {
+				j := edges[e]
+				if inS.get(int64(j)) {
+					acc = min(acc, -2)
+					continue
+				}
+				// No edge escapes T (regionExits), so j is a region state.
+				switch d := steps[j]; {
+				case d > 0:
+					acc = min(acc, -2-d)
+				case d < 0:
+					acc = stuckSteps
+				default:
+					steps[v], f.next = acc, e+1
+					steps[j] = -1
+					stack = append(stack, frame{state: j, next: off[j]})
+					peak = max(peak, len(stack))
+					continue walk
+				}
+			}
+			stack = stack[:len(stack)-1]
+			d := int32(stuckSteps)
+			if acc != stuckSteps {
+				d = -1 - acc
+				worst = max(worst, d)
+				sum += sp.weightOf(int64(v)) * int64(d)
+			} else {
+				cyclic = true
+			}
+			steps[v] = d
+			if n := len(stack); n > 0 {
+				if p := stack[n-1].state; d == stuckSteps {
+					steps[p] = stuckSteps
+				} else {
+					steps[p] = min(steps[p], -2-d)
+				}
+			}
+			if finished++; finished%chunkStates == 0 {
+				sp.opts.Progress.Add(chunkStates)
+				if err := ctx.Err(); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+	}
+	sp.opts.Progress.Add(finished % chunkStates)
+	span.observeFrontier(int64(peak))
+	if cyclic {
+		res.Converges = false
+		res.Cycle = sp.cycleWitness(steps)
+		return res, nil, nil
+	}
+	res.WorstSteps = int(worst)
+	res.MeanSteps = float64(sum) / float64(res.StatesOutsideS)
+	return res, steps, nil
+}
+
+// regionExits scans the region T∧¬S for the ways a computation leaves it
+// other than into S — an edge escaping T, or a deadlock — and records the
+// minimum-index witness of either on res (exitWitness). It reports
+// whether one was found.
+func (sp *Space) regionExits(ctx context.Context, res *ConvergenceResult) (bool, error) {
 	escape, deadlock := newWitness(), newWitness()
-	cur := newFrontierSpool(sp.arena, workers)
-	defer cur.release()
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+	err := parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
 				continue
@@ -150,123 +262,19 @@ func (sp *Space) checkConvergenceKahn(ctx context.Context) (res *ConvergenceResu
 			row := sp.idx.out(i)
 			if len(row) == 0 {
 				deadlock.offer(i, 0)
-				continue
 			}
-			pending := int32(0)
 			for k, j := range row {
-				jj := int64(j)
-				if !sp.inT.get(jj) {
+				if !sp.inT.get(int64(j)) {
 					escape.offer(i, int64(k))
-				} else if !sp.inS.get(jj) {
-					pending++
-				}
-			}
-			outstanding[i] = pending
-			if pending == 0 {
-				cur.add(worker, i)
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if sp.exitWitness(res, escape, deadlock) {
-		return res, nil, nil
-	}
-
-	// Phase 2: the shared reverse CSR — built once per Check by the
-	// atomics-free counting-sort builder in graph.go and cached on the
-	// space's succIndex, so repeat convergence passes (stair stages,
-	// leads-to's embedded analysis) reuse it. The global index keeps one
-	// predecessor entry per forward edge; restricting releases to region
-	// predecessors below makes multiplicities match outstanding exactly.
-	revOff, revPred, err := sp.predIndex(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Phase 3: the waves. Each newly released predecessor joins the next
-	// wave; processing a wave in sorted spill batches is sound because no
-	// wave member reads a same-wave steps entry — all its region
-	// successors resolved in strictly earlier waves.
-	resolved, err := waves(ctx, sp.opts.Progress, &span, cur, func(worker int, _ int32, batch []int64, next *frontierSpool) {
-		for _, i := range batch {
-			var best int32
-			for _, j := range sp.idx.out(i) {
-				jj := int64(j)
-				if sp.inS.get(jj) {
-					if best < 1 {
-						best = 1
-					}
-				} else if d := steps[jj] + 1; d > best {
-					best = d
-				}
-			}
-			steps[i] = best
-			for _, p := range revPred[revOff[i]:revOff[i+1]] {
-				pp := int64(p)
-				if !sp.region(pp) {
-					continue
-				}
-				if atomic.AddInt32(&outstanding[pp], -1) == 0 {
-					next.add(worker, pp)
+					break
 				}
 			}
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return false, err
 	}
-	// The peel counts representatives; compare against the region's rep
-	// count, not the orbit-weighted StatesOutsideS.
-	if resolved != countAndNot(sp.inT, sp.inS) {
-		// The peeling stalled: every unresolved region state still has an
-		// unresolved region successor, so the unresolved set contains a
-		// cycle an unfair daemon can circulate in forever.
-		res.Converges = false
-		res.Cycle = sp.cycleWitness(outstanding)
-		return res, nil, nil
-	}
-
-	if res.WorstSteps, res.MeanSteps, err = sp.worstStats(ctx, steps); err != nil {
-		return nil, nil, err
-	}
-	return res, steps, nil
-}
-
-// worstStats folds a worst-case steps table into its maximum and its
-// mean over the region. The per-state sum is integer and orbit-weighted,
-// so the mean is identical for every worker count and equals the full
-// space's mean exactly in quotient mode.
-func (sp *Space) worstStats(ctx context.Context, steps []int32) (worst int, mean float64, err error) {
-	var (
-		mu  sync.Mutex
-		top int32
-		sum int64
-	)
-	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		var w int32
-		var s int64
-		for i := lo; i < hi; i++ {
-			if !sp.region(i) {
-				continue
-			}
-			if d := steps[i]; d > w {
-				w = d
-			}
-			s += sp.weightOf(i) * int64(steps[i])
-		}
-		mu.Lock()
-		if w > top {
-			top = w
-		}
-		sum += s
-		mu.Unlock()
-	})
-	if n := sp.weightedCountAndNot(sp.inT, sp.inS); n > 0 {
-		mean = float64(sum) / float64(n)
-	}
-	return int(top), mean, err
+	return sp.exitWitness(res, escape, deadlock), nil
 }
 
 // exitWitness turns the minimum-index escape and deadlock witnesses of a
@@ -288,13 +296,14 @@ func (sp *Space) exitWitness(res *ConvergenceResult, escape, deadlock *witness) 
 	return true
 }
 
-// cycleWitness extracts a concrete region cycle from the unresolved
-// residue of a stalled peeling (states with outstanding > 0). Every such
-// state has at least one unresolved region successor, so a DFS restricted
-// to the residue must close a cycle; the DFS stack at the moment the back
-// edge appears is the cycle, in forward order.
-func (sp *Space) cycleWitness(outstanding []int32) []*program.State {
-	unresolved := func(i int64) bool { return sp.region(i) && outstanding[i] > 0 }
+// cycleWitness extracts a concrete region cycle from the stuck states of
+// a longestPaths table (the negative entries: the region states that
+// reach a region cycle). Every such state has at least one stuck region
+// successor, so a DFS restricted to them must close a cycle; the DFS
+// stack at the moment the back edge appears is the cycle, in forward
+// order.
+func (sp *Space) cycleWitness(steps []int32) []*program.State {
+	unresolved := func(i int64) bool { return sp.region(i) && steps[i] < 0 }
 	color := make([]uint8, sp.Count)
 	type frame struct {
 		i   int64
@@ -386,30 +395,10 @@ func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *Converge
 		return res, nil
 	}
 
-	// Escapes and deadlocks first, with the arbitrary-daemon scan's
-	// minimum-index witnesses.
-	escape, deadlock := newWitness(), newWitness()
-	err = parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			if !sp.region(i) {
-				continue
-			}
-			row := sp.idx.out(i)
-			if len(row) == 0 {
-				deadlock.offer(i, 0)
-			}
-			for k, j := range row {
-				if !sp.inT.get(int64(j)) {
-					escape.offer(i, int64(k))
-					break
-				}
-			}
-		}
-	})
-	if err != nil {
+	// Escapes and deadlocks first, by the arbitrary-daemon verdict's scan.
+	if exits, err := sp.regionExits(ctx, res); err != nil {
 		return nil, err
-	}
-	if sp.exitWitness(res, escape, deadlock) {
+	} else if exits {
 		return res, nil
 	}
 	if res.Cycle, err = sp.fairComponent(ctx); err != nil {
@@ -553,31 +542,14 @@ func (sp *Space) WorstDistances() ([]int32, bool) {
 	return d, ok
 }
 
-// WorstDistancesContext is WorstDistances with cancellation. The
-// distances fall out of the sharded fixpoint, and the table is cached on
-// the space: the metrics passes, the adversarial daemon, and repeat
-// callers all share one computation.
+// WorstDistancesContext is WorstDistances with cancellation. The table
+// is the arbitrary-daemon verdict's own (unfair), cached on the space: a
+// Check's convergence verdict, the metrics passes, the adversarial daemon
+// and repeat callers all share one computation.
 func (sp *Space) WorstDistancesContext(ctx context.Context) ([]int32, bool, error) {
-	sp.stepsMu.Lock()
-	defer sp.stepsMu.Unlock()
-	if sp.stepsKnown {
-		return sp.stepsTab, sp.stepsOK, nil
-	}
-	steps, ok, err := sp.worstDistancesLocked(ctx)
+	res, steps, err := sp.unfair(ctx)
 	if err != nil {
 		return nil, false, err
 	}
-	sp.stepsTab, sp.stepsOK, sp.stepsKnown = steps, ok, true
-	return steps, ok, nil
-}
-
-func (sp *Space) worstDistancesLocked(ctx context.Context) ([]int32, bool, error) {
-	res, steps, err := sp.checkConvergenceKahn(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	if !res.Converges {
-		return nil, false, nil
-	}
-	return steps, true, nil
+	return steps, res.Converges, nil
 }

@@ -2,9 +2,12 @@ package verify
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
+	"nonmask/internal/obs"
 	"nonmask/internal/program"
 )
 
@@ -42,6 +45,112 @@ func TestConvergenceCounter(t *testing.T) {
 	fair := sp.CheckFairConvergence()
 	if !fair.Converges {
 		t.Errorf("counter does not fairly converge: %s", fair.Summary())
+	}
+}
+
+// cancelInDFS is a context that reports cancellation once the
+// arbitrary-daemon pass has counted more than after units of progress:
+// the region scan counts every state of the space, so after = Count fires
+// during the longest-path DFS that follows it.
+type cancelInDFS struct {
+	context.Context
+	prog  *obs.Progress
+	after int64
+}
+
+func (c cancelInDFS) Err() error {
+	if s := c.prog.Snapshot(); s.Pass == PassConvergeUnfair && s.Done > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestConvergenceDeepChain runs the longest-path DFS on a region that is
+// one path of 2^20 states, on the spill tier: the walk from state 0 keeps
+// the whole path on its stack. A cancellation mid-walk returns ctx.Err()
+// and caches nothing; the next call computes the exact table.
+func TestConvergenceDeepChain(t *testing.T) {
+	const n = 1 << 20
+	p, S, _ := counter(t, n, n)
+	prog, col := &obs.Progress{}, &obs.Collector{}
+	sp, err := NewSpaceContext(context.Background(), p, S, program.True(), Options{
+		SpaceMode: SpaceSpill, SpillDir: t.TempDir(), Progress: prog, Tracer: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+
+	_, err = sp.CheckConvergenceContext(cancelInDFS{context.Background(), prog, sp.Count})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled DFS: err = %v, want %v", err, context.Canceled)
+	}
+	if done := prog.Snapshot().Done; done <= sp.Count || done >= sp.Count+n {
+		t.Fatalf("cancellation landed at progress %d, want inside the DFS (%d, %d)", done, sp.Count, sp.Count+n)
+	}
+
+	res, err := sp.CheckConvergenceContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converges || res.WorstSteps != n || res.MeanSteps != float64(n+1)/2 {
+		t.Fatalf("deep chain: %s, want worst %d, mean %v", res.Summary(), n, float64(n+1)/2)
+	}
+	steps, ok := sp.WorstDistances()
+	if !ok {
+		t.Fatal("WorstDistances: no table for a convergent chain")
+	}
+	for i, d := range steps {
+		if want := int32(n - i); d != want {
+			t.Fatalf("steps[%d] = %d, want %d", i, d, want)
+		}
+	}
+	var spans []obs.PassStat
+	for _, s := range col.Passes() {
+		if s.Pass == PassConvergeUnfair {
+			spans = append(spans, s)
+		}
+	}
+	// One finished span: the cancelled pass is abandoned, and
+	// WorstDistances reads the cached table. The stack held the whole path.
+	if len(spans) != 1 || spans[0].Frontier != n {
+		t.Fatalf("converge_unfair spans = %+v, want one with Frontier %d", spans, n)
+	}
+}
+
+// TestUnfairVerdictConcurrentCallers races verdict and table callers on a
+// fresh space: they share one computation and one span.
+func TestUnfairVerdictConcurrentCallers(t *testing.T) {
+	const n = 1 << 12
+	p, S, _ := counter(t, n, n)
+	col := &obs.Collector{}
+	ctx := context.Background()
+	sp, err := NewSpaceContext(ctx, p, S, program.True(), Options{Tracer: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				if res, err := sp.CheckConvergenceContext(ctx); err != nil || res.WorstSteps != n {
+					t.Errorf("verdict = %v, %v; want worst %d", res, err, n)
+				}
+			} else if steps, ok, err := sp.WorstDistancesContext(ctx); err != nil || !ok || steps[0] != n {
+				t.Errorf("table ok=%v err=%v; want steps[0] = %d", ok, err, n)
+			}
+		}()
+	}
+	wg.Wait()
+	spans := 0
+	for _, s := range col.Passes() {
+		if s.Pass == PassConvergeUnfair {
+			spans++
+		}
+	}
+	if spans != 1 {
+		t.Fatalf("%d converge_unfair spans, want 1", spans)
 	}
 }
 

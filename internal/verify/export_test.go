@@ -54,17 +54,8 @@ func SetSpillNamedFallback(on bool) (restore func()) {
 	return func() { spillNoOTmpfile = old }
 }
 
-// SetPredBuilder pins the reverse-CSR builder: 0 density-adaptive
-// (default), 1 counting sort, 2 atomic scatter. The benchmark pair and
-// the byte-identity test use it. Returns a restore function.
-func SetPredBuilder(b int) (restore func()) {
-	old := predBuilder
-	predBuilder = b
-	return func() { predBuilder = old }
-}
-
 // ReverseIndex exposes the (possibly lazily built) reverse CSR for
-// byte-identity assertions across builders.
+// comparison against predecessor lists derived from ForwardCSR.
 func (sp *Space) ReverseIndex() (revOff []uint32, revPred []int32, err error) {
 	return sp.predIndex(context.Background())
 }

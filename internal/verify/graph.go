@@ -43,19 +43,6 @@ func csrFits(count, edges int64) error {
 	return nil
 }
 
-// predScatterDensity is the guard density (E / (Count·nA)) above which
-// the in-RAM reverse-CSR build switches from the partitioned counting
-// sort to the atomic-scatter build. Dense instances (the printed mod-K
-// ring measures 77%) lose ~10% single-core to the counting sort's extra
-// packed-scratch pass; sparse ones favour the cache behaviour of the
-// partition sort. Both builders produce byte-identical (source-ascending)
-// output. A var so the benchmark pair can pin each builder.
-var predScatterDensity = 0.5
-
-// predBuilder forces one reverse-CSR builder, for tests and benchmarks:
-// 0 = density-adaptive (default), 1 = counting sort, 2 = atomic scatter.
-var predBuilder = 0
-
 // succIndex is the CSR transition graph of a Space, covering only enabled
 // transitions: state i's successors are edges[offsets[i]:offsets[i+1]], in
 // ascending action order. The entry payload is the 4-byte successor index
@@ -64,8 +51,9 @@ var predBuilder = 0
 // edge storage stays at 4 bytes even for near-dense programs.
 //
 // The reverse CSR (predecessors, multi-edges kept) is built lazily by
-// predIndex on first use and cached here; derived stage spaces share the
-// struct by pointer, so one Check builds it at most once.
+// predIndex when a metrics pass first walks backwards, and cached here;
+// derived stage spaces share the struct by pointer, so one Check builds
+// it at most once.
 //
 // On the spill tier both CSRs view mmap'd segment files (sealed read-only
 // after their fill sweeps) instead of heap slices; the owning Space's
@@ -328,21 +316,11 @@ func (sp *Space) undeclaredWrite(f *footprints, i int64) error {
 }
 
 // predIndex returns the reverse CSR (per-state predecessor lists, one
-// entry per forward edge so multiplicities match outstanding-counts
-// exactly), building and caching it on the shared succIndex the first time
-// any pass needs it. Two builders produce byte-identical source-ascending
-// output:
-//
-//	counting sort:  a partitioned 4-phase counting sort with a packed
-//	                (target, source) scratch array of 8·E bytes — no
-//	                per-edge atomics, cache-friendly on sparse graphs;
-//	atomic scatter: atomic in-degree counts, a prefix sum, an atomic
-//	                per-target cursor scatter and a per-target sort — no
-//	                scratch array at all.
-//
-// The in-RAM path picks by measured guard density (predScatterDensity);
-// the spill tier always scatters (the 8·E scratch is exactly the RAM the
-// tier exists to avoid) into mmap'd segments sealed read-only after the
+// entry per forward edge, source-ascending), building and caching it on
+// the shared succIndex the first time any pass needs it. Only the
+// metrics passes walk backwards (backwardWaves); the convergence verdicts
+// run on the forward CSR alone. buildPredScatter fills it on every tier,
+// on the spill tier into mmap'd segments sealed read-only after the
 // build.
 func (sp *Space) predIndex(ctx context.Context) (revOff []uint32, revPred []int32, err error) {
 	g := sp.idx
@@ -353,19 +331,6 @@ func (sp *Space) predIndex(ctx context.Context) (revOff []uint32, revPred []int3
 	}
 	span := startPass(sp.opts, PassPredTable, sp.Count)
 	E := g.numEdges()
-
-	scatter := sp.arena != nil
-	switch predBuilder {
-	case 1:
-		scatter = false
-	case 2:
-		scatter = true
-	default:
-		if !scatter && sp.Count > 0 && sp.nA > 0 {
-			density := float64(E) / (float64(sp.Count) * float64(sp.nA))
-			scatter = density >= predScatterDensity
-		}
-	}
 
 	var seal func()
 	if sp.arena != nil {
@@ -383,12 +348,7 @@ func (sp *Space) predIndex(ctx context.Context) (revOff []uint32, revPred []int3
 		revOff, revPred = make([]uint32, sp.Count+1), make([]int32, E)
 	}
 
-	if scatter {
-		err = sp.buildPredScatter(ctx, revOff, revPred)
-	} else {
-		err = sp.buildPredCounting(ctx, revOff, revPred)
-	}
-	if err != nil {
+	if err := sp.buildPredScatter(ctx, revOff, revPred); err != nil {
 		return nil, nil, err
 	}
 	if seal != nil {
@@ -400,108 +360,11 @@ func (sp *Space) predIndex(ctx context.Context) (revOff []uint32, revPred []int3
 	return revOff, revPred, nil
 }
 
-// buildPredCounting fills the reverse CSR with a parallel counting sort
-// over target partitions — no per-edge atomics, and the result is
-// byte-identical for every worker count:
-//
-//	phase A: per-(source-chunk, target-partition) edge counts;
-//	phase B: sequential prefix sums assigning every (chunk, partition)
-//	         pair a disjoint slice of a partition-grouped scratch array;
-//	phase C: sharded scatter of (target, source) pairs into the scratch
-//	         (each chunk owns its reserved slots);
-//	phase D: per-partition counting sort into the final arrays (each
-//	         partition owns a disjoint range of revOff/revPred).
-func (sp *Space) buildPredCounting(ctx context.Context, revOff []uint32, revPred []int32) error {
-	g := sp.idx
-	workers := sp.workers()
-	nChunks := (sp.Count + chunkStates - 1) / chunkStates
-	nPart := int64(workers) * 4
-	if nPart > nChunks {
-		nPart = nChunks
-	}
-	if nPart < 1 {
-		nPart = 1
-	}
-	partSize := (sp.Count + nPart - 1) / nPart
-	E := g.numEdges()
-
-	// Phase A: count edges per (source chunk, target partition).
-	pos := make([]int64, nChunks*nPart)
-	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		row := pos[(lo/chunkStates)*nPart : (lo/chunkStates+1)*nPart]
-		for _, j := range g.edges[g.offsets[lo]:g.offsets[hi]] {
-			row[int64(j)/partSize]++
-		}
-	})
-	if err != nil {
-		return err
-	}
-
-	// Phase B: partition-major prefix sum; pos becomes the scatter cursor
-	// of each (chunk, partition) pair, partStart the final edge range of
-	// each partition.
-	partStart := make([]int64, nPart+1)
-	var run int64
-	for p := int64(0); p < nPart; p++ {
-		partStart[p] = run
-		for c := int64(0); c < nChunks; c++ {
-			pos[c*nPart+p], run = run, run+pos[c*nPart+p]
-		}
-	}
-	partStart[nPart] = run
-
-	// Phase C: scatter packed (target, source) pairs, grouped by target
-	// partition. Within a partition the scratch order is source-ascending
-	// because chunks were laid out in ascending order by phase B.
-	scratch := make([]uint64, E)
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		cur := pos[(lo/chunkStates)*nPart : (lo/chunkStates+1)*nPart]
-		for i := lo; i < hi; i++ {
-			for _, j := range g.out(i) {
-				p := int64(j) / partSize
-				scratch[cur[p]] = uint64(j)<<32 | uint64(i)
-				cur[p]++
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-
-	// Phase D: per-partition counting sort into the final arrays. deg is
-	// shared scratch but partitions own disjoint target ranges.
-	deg := make([]int32, sp.Count)
-	err = parallelItems(ctx, workers, int(nPart), func(pi int) {
-		p := int64(pi)
-		tlo, thi := p*partSize, min((p+1)*partSize, sp.Count)
-		seg := scratch[partStart[p]:partStart[p+1]]
-		for _, packed := range seg {
-			deg[packed>>32]++
-		}
-		cursor := partStart[p]
-		for t := tlo; t < thi; t++ {
-			revOff[t] = uint32(cursor)
-			cursor += int64(deg[t])
-			deg[t] = 0
-		}
-		for _, packed := range seg {
-			t := packed >> 32
-			revPred[int64(revOff[t])+int64(deg[t])] = int32(packed & math.MaxUint32)
-			deg[t]++
-		}
-	})
-	if err != nil {
-		return err
-	}
-	revOff[sp.Count] = uint32(E)
-	return nil
-}
-
 // buildPredScatter fills the reverse CSR without any scratch array:
 // atomic in-degree counts, a sequential prefix sum, an atomic per-target
 // cursor scatter of the sources, and a per-target ascending sort. The
-// final sort makes the output source-ascending per target — byte-identical
-// to the counting-sort builder for every worker count and schedule.
+// final sort makes the output source-ascending per target, so it is
+// byte-identical for every worker count and schedule.
 func (sp *Space) buildPredScatter(ctx context.Context, revOff []uint32, revPred []int32) error {
 	g := sp.idx
 	workers := sp.workers()

@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,8 +83,8 @@ func compareMetrics(t *testing.T, want, got *verify.ToleranceMetrics) {
 // the quotient machinery (canonicalization scan, fingerprint lookup,
 // orbit weights) runs end-to-end while the answers must match the full
 // space exactly. The spill-flush tier shrinks the frontier run threshold
-// to a few states, so every traversal (the Kahn waves, the distance
-// profile, the doomed and stable closures, leads-to) flushes sorted runs
+// to a few states, so every frontier traversal (the distance profile,
+// the doomed and stable closures, leads-to) flushes sorted runs
 // and drains them through the merge; it also compares leads-to under
 // both daemons and checks the spill directory is empty after Close.
 func TestSpaceLadderMetamorphic(t *testing.T) {
@@ -293,41 +294,50 @@ func TestOverBudgetRefusal(t *testing.T) {
 	}
 }
 
-// TestPredBuilderByteIdentity pins the density-adaptive reverse-CSR
-// build: the counting-sort and atomic-scatter strategies must produce
-// byte-identical offset and predecessor arrays (both source-ascending),
-// so the adaptive pick is invisible to every consumer.
-func TestPredBuilderByteIdentity(t *testing.T) {
-	inst, err := tokenring.NewRing(3, 5)
+// TestReverseIndexMatchesForward pins the reverse CSR the metrics passes
+// walk backwards: on the in-RAM and spill tiers, at one and four workers,
+// it must equal the predecessor lists read off the forward CSR by a plain
+// sequential loop (one entry per forward edge, sources ascending).
+func TestReverseIndexMatchesForward(t *testing.T) {
+	inst, err := tokenring.NewRing(6, 6) // 46,656 states: several chunks
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	type built struct {
-		off  []uint32
-		pred []int32
+	tiers := map[string][]verify.Option{
+		"full":  {verify.WithSpaceMode(verify.SpaceFull)},
+		"spill": {verify.WithSpaceMode(verify.SpaceSpill), verify.WithSpillDir(t.TempDir())},
 	}
-	results := make(map[int]built)
-	for builder := 0; builder <= 2; builder++ {
-		restore := verify.SetPredBuilder(builder)
-		rep, err := verify.Check(ctx, inst.P, inst.S, nil)
-		if err != nil {
-			restore()
-			t.Fatalf("builder %d: %v", builder, err)
-		}
-		off, pred, err := rep.Space.ReverseIndex()
-		restore()
-		if err != nil {
-			t.Fatalf("builder %d reverse index: %v", builder, err)
-		}
-		results[builder] = built{off, pred}
-	}
-	for builder := 1; builder <= 2; builder++ {
-		if !reflect.DeepEqual(results[0].off, results[builder].off) {
-			t.Errorf("builder %d offsets differ from adaptive", builder)
-		}
-		if !reflect.DeepEqual(results[0].pred, results[builder].pred) {
-			t.Errorf("builder %d predecessors differ from adaptive", builder)
+	for name, tier := range tiers {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", name, workers)
+			rep, err := verify.Check(ctx, inst.P, inst.S, nil, append(tier, verify.WithWorkers(workers))...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			offsets, edges := rep.Space.ForwardCSR()
+			preds := make([][]int32, rep.Space.Count)
+			for i := range preds {
+				for _, j := range edges[offsets[i]:offsets[i+1]] {
+					preds[j] = append(preds[j], int32(i))
+				}
+			}
+			revOff, revPred, err := rep.Space.ReverseIndex()
+			if err != nil {
+				t.Fatalf("%s: reverse index: %v", label, err)
+			}
+			if len(revOff) != len(preds)+1 || len(revPred) != len(edges) || int(revOff[len(preds)]) != len(edges) {
+				t.Fatalf("%s: reverse index sized %d offsets, %d entries (last offset %d); want %d, %d",
+					label, len(revOff), len(revPred), revOff[len(revOff)-1], len(preds)+1, len(edges))
+			}
+			for j, want := range preds {
+				if got := revPred[revOff[j]:revOff[j+1]]; !slices.Equal(got, want) {
+					t.Fatalf("%s: predecessors of %d = %v, want %v", label, j, got, want)
+				}
+			}
+			if err := rep.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -271,17 +271,16 @@ func (sp *Space) distanceProfile(ctx context.Context, m *ToleranceMetrics) ([]in
 }
 
 // worstMetrics surfaces the exact worst-case stabilization time from the
-// WorstDistances variant table (cached on the space, so a Check that
-// already ran the convergence fixpoint does not pay it twice for the
-// max/mean fold).
+// arbitrary-daemon verdict, which is cached on the space: after Check's
+// own verdict it costs nothing.
 func (sp *Space) worstMetrics(ctx context.Context, m *ToleranceMetrics) error {
-	steps, ok, err := sp.WorstDistancesContext(ctx)
-	if err != nil || !ok {
+	res, _, err := sp.unfair(ctx)
+	if err != nil || !res.Converges {
 		return err
 	}
 	m.WorstMeasured = true
-	m.WorstSteps, m.MeanWorstSteps, err = sp.worstStats(ctx, steps)
-	return err
+	m.WorstSteps, m.MeanWorstSteps = res.WorstSteps, res.MeanSteps
+	return nil
 }
 
 // expectedSteps solves the expected-hitting-time equations for the
@@ -490,7 +489,7 @@ func (sp *Space) backwardWaves(ctx context.Context, span *passSpan, cur *frontie
 // stable subset — the largest subset of (constraint ∧ T) no action ever
 // leaves — computed by removing, to a fixpoint, every state with an edge
 // out of the candidate set; the cost is then the worst-case distance to
-// that subset, by the same wave peeling the convergence verdict uses.
+// that subset, by the same longest-path DFS the convergence verdict uses.
 func (sp *Space) constraintCost(ctx context.Context, spec ConstraintSpec) (ConstraintCost, error) {
 	cost := ConstraintCost{Name: spec.Name}
 	span := startPass(sp.opts, PassConstraintCost, 0)
@@ -511,13 +510,13 @@ func (sp *Space) constraintCost(ctx context.Context, spec ConstraintSpec) (Const
 	cost.StableStates = sp.weightedCount(stable)
 
 	// Worst-case distance to the stable subset: re-target the convergence
-	// peel at S' = stable over the same transition graph. A stalled peel
-	// (cycle or deadlock avoiding the subset) means no finite cost exists.
+	// DFS at S' = stable over the same transition graph. A cycle or a
+	// deadlock avoiding the subset means no finite cost exists.
 	name := fmt.Sprintf("stable(%s)", spec.Name)
 	pred := program.NewPredicate(name, nil, func(st *program.State) bool {
 		return stable.get(sp.indexOf(st))
 	})
-	res, _, err := sp.derived(pred, sp.T, stable, sp.inT).checkConvergenceKahn(ctx)
+	res, _, err := sp.derived(pred, sp.T, stable, sp.inT).longestPaths(ctx)
 	if err != nil {
 		return cost, err
 	}

@@ -117,7 +117,7 @@ type Options struct {
 	// entry point rather than silently treated as the default.
 	MaxStates int64
 	// Workers is the number of goroutines sharding state enumeration and
-	// the backward fixpoint passes. Zero means runtime.NumCPU(); one runs
+	// the range and frontier passes. Zero means runtime.NumCPU(); one runs
 	// every pass sequentially on the calling goroutine. Workers > 1
 	// requires what the program model already promises: action guards,
 	// bodies, and predicate Eval functions must be pure (no mutation of

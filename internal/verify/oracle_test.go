@@ -3,7 +3,7 @@
 // builds explicit, action-labelled adjacency from the schema's reference
 // codec (StateAt, Apply, Index) and shares nothing with the engine — no
 // Space, codec, CSR, bitsets or workers — so a bug in enumeration, the
-// CSR fill, the Kahn peel, the fair check's Tarjan pass or the leads-to
+// CSR fill, the longest-path DFS, the fair check's Tarjan pass or the leads-to
 // waves cannot hide by being shared with its own check.
 package verify_test
 
@@ -57,18 +57,19 @@ func (o *oracle) eval(pred *program.Predicate) []bool {
 
 func (o *oracle) region(i int64) bool { return o.inT[i] && !o.inS[i] }
 
-// convergence decides arbitrary-daemon convergence by DFS over the region
-// T∧¬S: it fails on a region deadlock, an edge leaving T, or a region
-// cycle. Otherwise it returns the worst-case number of steps to S, as
-// the maximum and the mean over the region, computed in DFS postorder.
-func (o *oracle) convergence() (converges bool, worst int, mean float64) {
+// convergence decides arbitrary-daemon convergence by recursive DFS over
+// the region T∧¬S: it fails on a region deadlock, an edge leaving T, or a
+// region cycle. Otherwise it returns the worst-case number of steps to S
+// per state (0 outside the region), computed in DFS postorder, and its
+// maximum and mean over the region.
+func (o *oracle) convergence() (converges bool, steps []int, worst int, mean float64) {
 	const (
 		white = iota
 		gray
 		black
 	)
 	color := make([]uint8, len(o.succ))
-	steps := make([]int, len(o.succ))
+	steps = make([]int, len(o.succ))
 	var visit func(i int64) bool
 	visit = func(i int64) bool {
 		color[i] = gray
@@ -97,7 +98,7 @@ func (o *oracle) convergence() (converges bool, worst int, mean float64) {
 			continue
 		}
 		if color[i] == white && !visit(int64(i)) {
-			return false, 0, 0
+			return false, nil, 0, 0
 		}
 		worst = max(worst, steps[i])
 		sum += int64(steps[i])
@@ -106,7 +107,7 @@ func (o *oracle) convergence() (converges bool, worst int, mean float64) {
 	if n > 0 {
 		mean = float64(sum) / float64(n)
 	}
-	return true, worst, mean
+	return true, steps, worst, mean
 }
 
 // profile is the distance-to-S histogram over T by round-based forward
@@ -147,9 +148,10 @@ func (o *oracle) profile() []int64 {
 	}
 }
 
-// compareOracle checks an engine convergence result and distance profile
-// against the oracle, returning whether the engine reported convergence.
-func compareOracle(t *testing.T, label string, o *oracle, res *verify.ConvergenceResult, profile []int64) bool {
+// compareOracle checks an engine convergence result, its worst-case steps
+// table (WorstDistances, per state) and distance profile against the
+// oracle, returning whether the engine reported convergence.
+func compareOracle(t *testing.T, label string, o *oracle, sp *verify.Space, res *verify.ConvergenceResult, profile []int64) bool {
 	t.Helper()
 	var nT, nS, nRegion int64
 	for i := range o.succ {
@@ -167,7 +169,7 @@ func compareOracle(t *testing.T, label string, o *oracle, res *verify.Convergenc
 		t.Fatalf("%s: state counts (T %d, S %d, T∧¬S %d), oracle (%d, %d, %d)",
 			label, res.StatesT, res.StatesS, res.StatesOutsideS, nT, nS, nRegion)
 	}
-	converges, worst, mean := o.convergence()
+	converges, steps, worst, mean := o.convergence()
 	if res.Converges != converges {
 		t.Fatalf("%s: engine Converges=%v, oracle %v", label, res.Converges, converges)
 	}
@@ -175,16 +177,26 @@ func compareOracle(t *testing.T, label string, o *oracle, res *verify.Convergenc
 		t.Fatalf("%s: engine worst %d mean %v, oracle worst %d mean %v",
 			label, res.WorstSteps, res.MeanSteps, worst, mean)
 	}
+	table, ok := sp.WorstDistances()
+	if ok != converges || (ok && len(table) != len(steps)) {
+		t.Fatalf("%s: WorstDistances has %d entries (ok %v), oracle %d (converges %v)",
+			label, len(table), ok, len(steps), converges)
+	}
+	for i, d := range table {
+		if int(d) != steps[i] {
+			t.Fatalf("%s: worst-case steps at state %d = %d, oracle %d", label, i, d, steps[i])
+		}
+	}
 	if want := o.profile(); !reflect.DeepEqual(profile, want) {
 		t.Fatalf("%s: engine profile %v, oracle %v", label, profile, want)
 	}
 	return converges
 }
 
-// TestKahnAgreesWithDFS cross-checks the engine's Kahn fixpoint and its
-// distance-profile BFS against the oracle on random transition systems,
-// and validates every non-convergence witness against the model.
-func TestKahnAgreesWithDFS(t *testing.T) {
+// TestUnfairAgreesWithOracle cross-checks the engine's longest-path DFS
+// and its distance-profile BFS against the oracle on random transition
+// systems, and validates every non-convergence witness against the model.
+func TestUnfairAgreesWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	ctx := context.Background()
 	convergent, divergent := 0, 0
@@ -195,20 +207,20 @@ func TestKahnAgreesWithDFS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewSpaceContext: %v", label, err)
 		}
-		kahn, err := sp.CheckConvergenceContext(ctx)
+		unfair, err := sp.CheckConvergenceContext(ctx)
 		if err != nil {
-			t.Fatalf("%s: kahn: %v", label, err)
+			t.Fatalf("%s: unfair: %v", label, err)
 		}
 		m, err := sp.MetricsContext(ctx, nil)
 		if err != nil {
 			t.Fatalf("%s: metrics: %v", label, err)
 		}
-		if compareOracle(t, label, newOracle(p, S, program.True()), kahn, m.Profile) {
+		if compareOracle(t, label, newOracle(p, S, program.True()), sp, unfair, m.Profile) {
 			convergent++
 			continue
 		}
 		divergent++
-		validateConvergenceWitness(t, label, sp, kahn)
+		validateConvergenceWitness(t, label, sp, unfair)
 	}
 	if convergent == 0 || divergent == 0 {
 		t.Errorf("unbalanced sample: %d convergent, %d divergent; cross-check weak",
@@ -226,7 +238,7 @@ func TestOracleAgreesOnModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !compareOracle(t, name, newOracle(m.Program, m.S, m.T), rep.Unfair, rep.Metrics.Profile) {
+			if !compareOracle(t, name, newOracle(m.Program, m.S, m.T), rep.Space, rep.Unfair, rep.Metrics.Profile) {
 				validateConvergenceWitness(t, name, rep.Space, rep.Unfair)
 			}
 		})
@@ -510,7 +522,7 @@ func TestFairLeadsToOracle(t *testing.T) {
 		o := newOracle(p, S, T)
 		compareFairLeadsTo(t, label, o, sp, []*program.Predicate{
 			T, S, randomPred(rng, p, "p", 2), randomPred(rng, p, "q", 4)})
-		if conv, _, _ := o.convergence(); !conv && o.fairConverges() {
+		if conv, _, _, _ := o.convergence(); !conv && o.fairConverges() {
 			fairOnly++
 		}
 		if fair := sp.CheckFairConvergence(); len(fair.Cycle) > 0 {

@@ -73,49 +73,6 @@ func parallelRange(ctx context.Context, workers int, n int64, prog *obs.Progress
 	return ctx.Err()
 }
 
-// parallelItems runs fn over n coarse-grained items (one atomic-cursor
-// claim per item) — the sibling of parallelRange for work whose natural
-// grain is a handful of large pieces (the reverse-CSR target partitions)
-// rather than millions of states. With workers <= 1 the items run on the
-// calling goroutine in ascending order. Cancellation is polled between
-// items.
-func parallelItems(ctx context.Context, workers, n int, fn func(item int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return ctx.Err()
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := cursor.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // witness tracks the lowest-index counterexample found by a sharded pass.
 // Workers race to publish; keeping the minimum makes every pass's reported
 // witness deterministic — independent of worker count and scheduling.

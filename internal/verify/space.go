@@ -15,10 +15,12 @@
 // The checker is built for throughput: membership bitmaps are uint64-packed
 // bitsets, one-step successors are precomputed into a CSR transition graph
 // covering only enabled edges (with a lazily built, cached reverse CSR for
-// the backward passes), and every pass — space construction, closure
-// scans, the convergence fixpoint, fault-span and leads-to reachability —
-// is sharded across a worker pool (Options.Workers) with context
-// cancellation polled between chunks. The unified entry point is Check;
+// the metrics suite's backward passes), and the passes — space
+// construction, closure scans, the convergence region scans, fault-span
+// and leads-to reachability — are sharded across a worker pool
+// (Options.Workers) with context cancellation polled between chunks. The
+// arbitrary-daemon verdict's longest-path DFS and the fair check's Tarjan
+// pass walk the CSR sequentially. The unified entry point is Check;
 // the per-pass methods remain for callers that need individual verdicts.
 //
 // Instances that outgrow RAM climb the scaling ladder of DESIGN §13
@@ -83,13 +85,13 @@ type Space struct {
 	arena     *spillArena
 	ownsArena bool
 
-	// stepsMu guards the WorstDistances cache: the exact worst-case
-	// distance table, computed at most once per space (the metrics passes
-	// and the adversarial daemon both consume it).
-	stepsMu    sync.Mutex
-	stepsTab   []int32
-	stepsOK    bool
-	stepsKnown bool
+	// stepsMu guards the arbitrary-daemon verdict and its exact
+	// worst-case steps table (nil unless it converges), computed at most
+	// once per space: Check's verdict, the metrics passes and the
+	// adversarial daemon all read the same computation.
+	stepsMu   sync.Mutex
+	unfairRes *ConvergenceResult
+	stepsTab  []int32
 }
 
 // NewSpaceContext enumerates the program's state space and evaluates S

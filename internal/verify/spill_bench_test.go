@@ -1,10 +1,9 @@
 // Benchmarks for the scaling ladder: the spill tier against the in-RAM
-// CSR, and the density-adaptive reverse-CSR build against its two fixed
-// strategies.
+// CSR.
 //
 // Run with:
 //
-//	go test ./internal/verify -bench 'Spill|PredBuild' -benchtime 3x -run '^$'
+//	go test ./internal/verify -bench 'CheckMetrics(RAM|Spill)' -benchtime 3x -run '^$'
 package verify_test
 
 import (
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"nonmask/internal/protocols/diffusing"
-	"nonmask/internal/protocols/tokenring"
 	"nonmask/internal/verify"
 )
 
@@ -54,39 +52,3 @@ func BenchmarkCheckMetricsSpill(b *testing.B) {
 	benchCheckMetrics1M(b,
 		verify.WithSpaceMode(verify.SpaceSpill), verify.WithSpillDir(b.TempDir()))
 }
-
-// benchPredBuild times the end-to-end Check on the guard-dense printed
-// mod-K ring (~6.3 enabled actions per state out of 8) with a pinned
-// reverse-CSR strategy. The convergence wave consumes the reverse index,
-// so the build cost is on the critical path.
-func benchPredBuild(b *testing.B, builder int) {
-	defer verify.SetPredBuilder(builder)()
-	inst, err := tokenring.NewRing(7, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := verify.Check(ctx, inst.P, inst.S, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Unfair.Converges {
-			b.Fatal("ring must converge")
-		}
-	}
-}
-
-// BenchmarkPredBuildAdaptive is the shipping configuration: counting
-// sort below predScatterDensity, atomic scatter above it.
-func BenchmarkPredBuildAdaptive(b *testing.B) { benchPredBuild(b, 0) }
-
-// BenchmarkPredBuildCounting pins the partitioned counting sort — the
-// sparse-instance winner, ~10% slower single-core on dense guards.
-func BenchmarkPredBuildCounting(b *testing.B) { benchPredBuild(b, 1) }
-
-// BenchmarkPredBuildScatter pins the atomic-scatter build the adaptive
-// policy picks on this dense instance.
-func BenchmarkPredBuildScatter(b *testing.B) { benchPredBuild(b, 2) }

@@ -20,13 +20,14 @@ const (
 	// edge set busted the in-RAM budget and the tier was refused).
 	PassSuccTable = "succ_table"
 	// PassPredTable is the lazy construction of the reverse CSR
-	// (predecessor index), emitted at most once per Check — stage passes
-	// reuse the cached index.
+	// (predecessor index) for the metrics passes, emitted at most once
+	// per Check — later passes reuse the cached index.
 	PassPredTable = "pred_table"
 	// PassClosure is one closure scan of one predicate.
 	PassClosure = "closure"
-	// PassConvergeUnfair is the arbitrary-daemon convergence fixpoint
-	// (Kahn wave peeling).
+	// PassConvergeUnfair is the arbitrary-daemon convergence verdict: the
+	// region scan plus the longest-path DFS (its frontier is the peak DFS
+	// depth).
 	PassConvergeUnfair = "converge_unfair"
 	// PassConvergeFair is the weakly-fair-daemon SCC analysis, including
 	// its region-graph build.
@@ -49,7 +50,7 @@ const (
 	// value iteration (metrics.go).
 	PassExpectedSteps = "expected_steps"
 	// PassConstraintCost is one constraint's recovery-cost computation:
-	// stable-subset shrink plus the re-targeted convergence peel (which
+	// stable-subset shrink plus the re-targeted convergence DFS (which
 	// nests its own converge_unfair span).
 	PassConstraintCost = "constraint_cost"
 	// PassCanonicalize is the symmetry-quotient construction: the

@@ -28,36 +28,11 @@ func TestCheckEmitsPassSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := []string{verify.PassEnumerate, verify.PassSuccTable,
-		verify.PassClosure, verify.PassPredTable, verify.PassConvergeUnfair}
-	if len(rep.Passes) != len(want) {
-		t.Fatalf("Report.Passes = %+v, want passes %v", rep.Passes, want)
-	}
-	for i, name := range want {
-		s := rep.Passes[i]
-		if s.Pass != name {
-			t.Fatalf("pass %d = %q, want %q (all: %+v)", i, s.Pass, name, rep.Passes)
-		}
-		if s.States != rep.Space.Count {
-			t.Errorf("pass %s states = %d, want the full space %d", name, s.States, rep.Space.Count)
-		}
-		if s.Workers < 1 {
-			t.Errorf("pass %s workers = %d", name, s.Workers)
-		}
-		if s.ElapsedMS < 0 {
-			t.Errorf("pass %s negative elapsed %v", name, s.ElapsedMS)
-		}
-	}
-	// The index-building passes surface the enabled-edge count and the
-	// byte size of the structure they built.
-	for _, i := range []int{1, 3} {
-		s := rep.Passes[i]
-		if s.Edges <= 0 || s.Bytes <= 0 {
-			t.Errorf("pass %s edges = %d, bytes = %d, want both > 0", s.Pass, s.Edges, s.Bytes)
-		}
-	}
-	// The converging wave peeled a non-empty frontier.
-	if f := rep.Passes[4].Frontier; f <= 0 {
+	// A plain check runs on the forward CSR alone: no reverse index.
+	checkPassSeries(t, rep, []string{verify.PassEnumerate, verify.PassSuccTable,
+		verify.PassClosure, verify.PassConvergeUnfair}, 1)
+	// The longest-path DFS reports its peak depth.
+	if f := rep.Passes[3].Frontier; f <= 0 {
 		t.Errorf("converge_unfair frontier = %d, want > 0", f)
 	}
 
@@ -77,6 +52,77 @@ func TestCheckEmitsPassSpans(t *testing.T) {
 	snap := prog.Snapshot()
 	if snap.Pass == "" || snap.Done == 0 {
 		t.Fatalf("progress never sampled a pass: %+v", snap)
+	}
+}
+
+// TestVariantTableComputedOnce pins the span series of a metrics job and
+// the arbitrary-daemon cache behind it. The distance profile's backward
+// BFS builds the reverse CSR, whose span ends (nested) before the
+// profile's own. The longest-path DFS runs exactly once: the verdict
+// seeds the worst-case metrics, and a following WorstDistancesContext or
+// CheckConvergenceContext on the report's space does not run it again.
+func TestVariantTableComputedOnce(t *testing.T) {
+	inst, err := tokenring.NewRing(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rep, err := verify.Check(ctx, inst.P, inst.S, nil, verify.WithMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPassSeries(t, rep, []string{verify.PassEnumerate, verify.PassSuccTable,
+		verify.PassClosure, verify.PassConvergeUnfair, verify.PassPredTable,
+		verify.PassDistanceProfile, verify.PassExpectedSteps}, 1, 4)
+	if !rep.Unfair.Converges || rep.Metrics.WorstSteps != rep.Unfair.WorstSteps ||
+		rep.Metrics.MeanWorstSteps != rep.Unfair.MeanSteps {
+		t.Fatalf("metrics worst (%d, %v) disagree with the verdict: %s",
+			rep.Metrics.WorstSteps, rep.Metrics.MeanWorstSteps, rep.Unfair.Summary())
+	}
+	before := len(rep.Passes)
+	steps, ok, err := rep.Space.WorstDistancesContext(ctx)
+	if err != nil || !ok || int64(len(steps)) != rep.Space.Count {
+		t.Fatalf("WorstDistancesContext = %d entries, %v, %v", len(steps), ok, err)
+	}
+	again, err := rep.Space.CheckConvergenceContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == rep.Unfair || again.Summary() != rep.Unfair.Summary() {
+		t.Fatalf("repeat verdict %p %q, want a copy of %p %q", again, again.Summary(), rep.Unfair, rep.Unfair.Summary())
+	}
+	if stats := rep.PassStats(); len(stats) != before {
+		t.Fatalf("follow-up calls added spans %+v, want none", stats[before:])
+	}
+}
+
+// checkPassSeries asserts that rep's spans are exactly the want series,
+// each over the full space, and that the index-building spans at the
+// given positions carry their edge count and byte size.
+func checkPassSeries(t *testing.T, rep *verify.Report, want []string, indexPasses ...int) {
+	t.Helper()
+	if len(rep.Passes) != len(want) {
+		t.Fatalf("Report.Passes = %+v, want passes %v", rep.Passes, want)
+	}
+	for i, name := range want {
+		s := rep.Passes[i]
+		if s.Pass != name {
+			t.Fatalf("pass %d = %q, want %q (all: %+v)", i, s.Pass, name, rep.Passes)
+		}
+		if s.States != rep.Space.Count {
+			t.Errorf("pass %s states = %d, want the full space %d", name, s.States, rep.Space.Count)
+		}
+		if s.Workers < 1 {
+			t.Errorf("pass %s workers = %d", name, s.Workers)
+		}
+		if s.ElapsedMS < 0 {
+			t.Errorf("pass %s negative elapsed %v", name, s.ElapsedMS)
+		}
+	}
+	for _, i := range indexPasses {
+		if s := rep.Passes[i]; s.Edges <= 0 || s.Bytes <= 0 {
+			t.Errorf("pass %s edges = %d, bytes = %d, want both > 0", s.Pass, s.Edges, s.Bytes)
+		}
 	}
 }
 
