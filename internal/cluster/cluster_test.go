@@ -379,6 +379,63 @@ func TestForwardFallbackRunsLocally(t *testing.T) {
 	}
 }
 
+// TestBatchFallsBackWhenOwnerDead is the batch half of the availability
+// trade: a sweep member whose owner is unreachable runs on the entry
+// node, exactly like a single submission, instead of failing the batch.
+func TestBatchFallsBackWhenOwnerDead(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	ctx := context.Background()
+
+	// Kill the owner of the first sweep member that another node owns,
+	// fingerprinting each candidate on a throwaway executor-less server.
+	ref := service.New(service.Config{Executors: -1})
+	dead := ""
+	members := 0
+	for k := 5; k <= 12; k++ {
+		st, err := ref.Submit(ringSpec(3, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, local := nodes[0].cluster.Owner(st.Key)
+		if !local && dead == "" {
+			dead = owner
+		}
+		if owner == dead {
+			members++
+		}
+	}
+	ref.Shutdown(ctx)
+	if dead == "" {
+		t.Fatal("no remotely-owned member in the sweep")
+	}
+	for _, n := range nodes {
+		if n.cluster.NodeName() == dead {
+			n.ts.Close()
+		}
+	}
+
+	bst, err := nodes[0].cli.SubmitBatch(ctx, service.BatchSpec{
+		Sweep: &service.SweepSpec{
+			Protocol: "tokenring-ring",
+			Params:   registry.Params{N: 3},
+			Ranges:   map[string]service.RangeSpec{"k": {From: 5, To: 12}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := nodes[0].cli.WaitBatch(ctx, bst.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != service.BatchDone || done.Counts.Done != 8 || done.Counts.Failed != 0 {
+		t.Fatalf("batch ended %s: %+v", done.State, done.Counts)
+	}
+	if got := nodes[0].srv.Metrics().ForwardFallbacks.Load(); got != int64(members) {
+		t.Fatalf("forward fallbacks = %d, want %d (the members %s owns)", got, members, dead)
+	}
+}
+
 // TestProxyRoutesByIDPrefix reads a job owned by one node through
 // another node's API: the id prefix routes the GET.
 func TestProxyRoutesByIDPrefix(t *testing.T) {
@@ -406,7 +463,7 @@ func TestProxyRoutesByIDPrefix(t *testing.T) {
 }
 
 // TestBatchFansAcrossReplicas sweeps k over a ring through one node and
-// checks members actually ran on more than one replica — the shadow-job
+// checks members actually ran on more than one replica — the mirror-record
 // fan-out — while the batch's own record stays on the entry node.
 func TestBatchFansAcrossReplicas(t *testing.T) {
 	nodes := newTestCluster(t, 3)
@@ -433,7 +490,7 @@ func TestBatchFansAcrossReplicas(t *testing.T) {
 		t.Fatalf("members done = %d, want 8", done.Counts.Done)
 	}
 	// Member records live on the entry node (remote runs are mirrored by
-	// local shadow jobs), so fan-out shows up in where checks executed:
+	// local mirror records), so fan-out shows up in where checks executed:
 	// more than one replica must have completed work.
 	spread := 0
 	for _, n := range nodes {

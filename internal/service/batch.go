@@ -183,44 +183,25 @@ type BatchStatus struct {
 	FinishedAt  time.Time `json:"finished_at"`
 }
 
-// batch is the server-side record of one batch submission.
+// batch is the server-side record of one batch submission. Its event
+// stream carries batch_member completions, aggregate progress, and the
+// terminal batch event.
 type batch struct {
-	id          string
+	record
 	concurrency int
 	specs       []*compiled
 
-	mu        sync.Mutex
-	state     BatchState
-	jobs      []*job
-	canceled  bool
-	submitted time.Time
-	finished  time.Time
+	// Guarded by record.mu.
+	state    BatchState
+	jobs     []*job
+	canceled bool
 	// terminalMembers counts members that reached a terminal state; it
 	// drives the batch stream's aggregate progress events.
 	terminalMembers int
 
-	// events is the batch's bus stream (registerBatchLocked attaches it):
-	// batch_member completions, aggregate progress, and the terminal
-	// batch event.
-	events *obs.Stream
-
 	// cancelCh is closed by cancel to wake the runner out of window waits
-	// and admission backoffs; done is closed on the terminal transition
-	// and is what long-polls wait on.
+	// and admission backoffs.
 	cancelCh chan struct{}
-	done     chan struct{}
-}
-
-func newBatch(id string, specs []*compiled, concurrency int, now time.Time) *batch {
-	return &batch{
-		id:          id,
-		concurrency: concurrency,
-		specs:       specs,
-		state:       BatchRunning,
-		submitted:   now,
-		cancelCh:    make(chan struct{}),
-		done:        make(chan struct{}),
-	}
 }
 
 // status snapshots the wire form. Member job locks nest under b.mu
@@ -291,52 +272,28 @@ func curvePoint(j *job, js JobStatus) (CurvePoint, bool) {
 	}, true
 }
 
-// addJob records an admitted member.
-func (b *batch) addJob(j *job) {
+// finishBatch is a batch's terminal transition, run once by its runner
+// after every admitted member is terminal: "done" when the whole
+// expansion was admitted and not canceled, "canceled" otherwise. It
+// counts the outcome before any waiter wakes.
+func (s *Server) finishBatch(b *batch) {
 	b.mu.Lock()
-	b.jobs = append(b.jobs, j)
-	b.mu.Unlock()
-}
-
-// isCanceled reports a cancel request.
-func (b *batch) isCanceled() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.canceled
-}
-
-// requestCancel marks the batch canceled (idempotent) and returns the
-// admitted members to cancel. The runner stops admitting via cancelCh.
-func (b *batch) requestCancel() []*job {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.canceled || b.state.terminal() {
-		return nil
-	}
-	b.canceled = true
-	close(b.cancelCh)
-	return append([]*job(nil), b.jobs...)
-}
-
-// finish applies the terminal transition once every admitted member is
-// terminal: "done" when the whole expansion was admitted and not
-// canceled, "canceled" otherwise.
-func (b *batch) finish(now time.Time) BatchState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state.terminal() {
-		return b.state
-	}
+	state := BatchDone
 	if b.canceled || len(b.jobs) < len(b.specs) {
-		b.state = BatchCanceled
-	} else {
-		b.state = BatchDone
+		state = BatchCanceled
 	}
-	b.finished = now
-	b.events.Publish(obs.Event{Type: obs.EventBatch, State: string(b.state),
-		Done: int64(b.terminalMembers), Total: int64(len(b.specs))})
-	close(b.done)
-	return b.state
+	b.state, b.finished = state, time.Now()
+	ev := obs.Event{Type: obs.EventBatch, State: string(state),
+		Done: int64(b.terminalMembers), Total: int64(len(b.specs))}
+	b.mu.Unlock()
+	s.metrics.BatchesInFlight.Add(-1)
+	if state == BatchDone {
+		s.metrics.BatchesCompleted.Add(1)
+	} else {
+		s.metrics.BatchesCanceled.Add(1)
+	}
+	s.log.Info("batch "+string(state), "batch", b.id, "admitted", ev.Done, "of", ev.Total)
+	b.end(ev)
 }
 
 // sweepRangeOrder fixes the expansion order of swept parameters so a
@@ -458,14 +415,13 @@ func (s *Server) SubmitBatch(spec BatchSpec) (BatchStatus, error) {
 // SubmitBatchAs validates and expands a batch on behalf of tenant,
 // registers its record, and starts the fan-out runner. Validation is
 // all-or-nothing and happens before anything is queued. In a cluster,
-// members whose fingerprints other nodes own run there (shadow records
-// mirror the remote runs locally), so one sweep spreads across the
+// members whose fingerprints other nodes own run there (local mirror
+// records follow the remote runs), so one sweep spreads across the
 // whole cluster.
 func (s *Server) SubmitBatchAs(spec BatchSpec, tenant string) (BatchStatus, error) {
 	specs, conc, err := expandBatch(spec, s.cfg)
 	if err != nil {
-		s.metrics.Rejected.Add(1)
-		return BatchStatus{}, &submitError{code: http.StatusBadRequest, msg: err.Error(), tenant: tenant}
+		return BatchStatus{}, s.reject(http.StatusBadRequest, tenant, "%v", err)
 	}
 	for _, c := range specs {
 		c.tenant = tenant
@@ -474,12 +430,12 @@ func (s *Server) SubmitBatchAs(spec BatchSpec, tenant string) (BatchStatus, erro
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		return BatchStatus{}, &submitError{code: http.StatusServiceUnavailable, msg: "server is draining", tenant: tenant}
+		return BatchStatus{}, s.reject(http.StatusServiceUnavailable, tenant, "server is draining")
 	}
 	s.batchSeq++
-	b := newBatch(s.prefixID(fmt.Sprintf("b-%08d", s.batchSeq)), specs, conc, now)
-	s.registerBatchLocked(b)
+	b := &batch{concurrency: conc, specs: specs, state: BatchRunning, cancelCh: make(chan struct{})}
+	b.id, b.submitted, b.done = s.prefixID(fmt.Sprintf("b-%08d", s.batchSeq)), now, make(chan struct{})
+	s.addLocked(b, obs.Event{Type: obs.EventBatch, State: string(BatchRunning), Total: int64(len(specs))})
 	s.batchWG.Add(1)
 	s.mu.Unlock()
 	s.metrics.BatchesSubmitted.Add(1)
@@ -487,41 +443,6 @@ func (s *Server) SubmitBatchAs(spec BatchSpec, tenant string) (BatchStatus, erro
 	s.log.Info("batch queued", "batch", b.id, "jobs", len(specs), "concurrency", conc)
 	go s.runBatch(b)
 	return b.status(), nil
-}
-
-// registerBatchLocked records a batch, attaches its event stream
-// (publishing the opening "running" event with the expansion size), and
-// evicts the oldest terminal records past the retention bound (s.mu held).
-func (s *Server) registerBatchLocked(b *batch) {
-	s.batches[b.id] = b
-	s.batchOrder = append(s.batchOrder, b.id)
-	b.events = s.bus.Stream(b.id)
-	b.events.Publish(obs.Event{Type: obs.EventBatch, State: string(BatchRunning),
-		Total: int64(len(b.specs))})
-	for len(s.batches) > maxBatches {
-		evicted := false
-		for i, id := range s.batchOrder {
-			bb, ok := s.batches[id]
-			if !ok {
-				s.batchOrder = append(s.batchOrder[:i], s.batchOrder[i+1:]...)
-				evicted = true
-				break
-			}
-			bb.mu.Lock()
-			terminal := bb.state.terminal()
-			bb.mu.Unlock()
-			if terminal {
-				delete(s.batches, id)
-				s.bus.Remove(id)
-				s.batchOrder = append(s.batchOrder[:i], s.batchOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live; let the map grow rather than drop state
-		}
-	}
 }
 
 // runBatch fans a batch's members out through the shared queue. The
@@ -533,8 +454,9 @@ func (s *Server) runBatch(b *batch) {
 	defer s.batchWG.Done()
 	sem := make(chan struct{}, b.concurrency)
 	// memberWG tracks the per-member watcher goroutines, which publish
-	// each member's completion on the batch stream. finish waits on it so
-	// the terminal batch event is strictly the stream's last.
+	// each member's completion on the batch stream once it is terminal.
+	// Waiting on it before finishBatch makes the terminal batch event
+	// strictly the stream's last.
 	var memberWG sync.WaitGroup
 admission:
 	for _, c := range b.specs {
@@ -543,118 +465,28 @@ admission:
 		case <-b.cancelCh:
 			break admission
 		}
-		for {
-			j, err := s.admitMember(c)
-			if err == nil {
-				b.addJob(j)
-				s.metrics.BatchJobs.Add(1)
-				memberWG.Add(1)
-				go func(j *job) {
-					defer memberWG.Done()
-					<-j.done
-					b.publishMember(j)
-					<-sem
-				}(j)
-				break
-			}
-			if se, ok := err.(*submitError); ok && se.code == http.StatusTooManyRequests {
-				// Admission control pushed back: the queue is full of other
-				// work. Wait our turn instead of failing the batch.
-				select {
-				case <-time.After(batchRetryDelay):
-					continue
-				case <-b.cancelCh:
-					break admission
-				}
-			}
-			// Draining (503) or an unexpected admission failure: stop
-			// admitting; the batch ends canceled with the members it has.
+		// Pushback (429) waits its turn instead of failing the batch.
+		j, err := s.admitPatiently(c, s.route(c), b.cancelCh)
+		if err != nil {
+			// Draining (503), a cancel, or an unexpected admission failure:
+			// stop admitting; the batch ends canceled with the members it has.
 			s.log.Warn("batch admission stopped", "batch", b.id, "error", err)
-			break admission
+			break
 		}
-	}
-	// Wait for every admitted member to reach a terminal state.
-	b.mu.Lock()
-	admitted := append([]*job(nil), b.jobs...)
-	b.mu.Unlock()
-	for _, j := range admitted {
-		<-j.done
+		b.mu.Lock()
+		b.jobs = append(b.jobs, j)
+		b.mu.Unlock()
+		s.metrics.BatchJobs.Add(1)
+		memberWG.Add(1)
+		go func() {
+			defer memberWG.Done()
+			<-j.done
+			b.publishMember(j)
+			<-sem
+		}()
 	}
 	memberWG.Wait()
-	state := b.finish(time.Now())
-	s.metrics.BatchesInFlight.Add(-1)
-	if state == BatchDone {
-		s.metrics.BatchesCompleted.Add(1)
-	} else {
-		s.metrics.BatchesCanceled.Add(1)
-	}
-	s.log.Info("batch "+string(state), "batch", b.id,
-		"admitted", len(admitted), "of", len(b.specs))
-}
-
-// admitMember routes one batch member: local admission for fingerprints
-// this node owns (or already has cached), a shadow record mirroring a
-// remote run for member keys a peer owns. That spread is what makes a
-// sweep a cluster-wide fan-out instead of one node's workload.
-func (s *Server) admitMember(c *compiled) (*job, error) {
-	if rt := s.cfg.Router; rt != nil {
-		if node, local := rt.Owner(c.key); !local {
-			if hit, _ := s.cache.get(c.key); hit == nil {
-				return s.admitShadow(c, node)
-			}
-		}
-	}
-	return s.admit(c)
-}
-
-// admitShadow registers a local shadow record for a batch member whose
-// fingerprint a peer owns and mirrors the remote run's terminal state
-// onto it. The shadow occupies the batch's concurrency window (bounding
-// remote fan-out) but no local queue slot or executor; canceling it
-// abandons the wait without touching the remote job. Quota is charged
-// on the node that runs the member, like any forwarded submission.
-func (s *Server) admitShadow(c *compiled, node string) (*job, error) {
-	now := time.Now()
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		return nil, &submitError{code: http.StatusServiceUnavailable, msg: "server is draining", tenant: c.tenant}
-	}
-	j := s.admitLocked(c, now)
-	s.mu.Unlock()
-	s.metrics.Submitted.Add(1)
-	s.metrics.Forwarded.Add(1)
-	s.log.Info("batch member forwarded", "job", j.id, "owner", node, "key", c.key)
-	go func() {
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		defer cancel()
-		go func() {
-			// A local cancel (batch cancel, shutdown) abandons the wait.
-			<-j.done
-			cancel()
-		}()
-		st, err := s.cfg.Router.RunRemote(ctx, node, c.tenant, c.spec)
-		now := time.Now()
-		switch {
-		case err != nil:
-			j.transition(StateFailed, nil, fmt.Errorf("remote run on %s: %w", node, err), now)
-		case st.State == StateDone:
-			j.mu.Lock()
-			j.cached = st.Cached
-			j.mu.Unlock()
-			j.transition(StateDone, st.Result, nil, now)
-		case st.State == StateCanceled:
-			j.transition(StateCanceled, nil, fmt.Errorf("canceled on %s", node), now)
-		default:
-			msg := st.Error
-			if msg == "" {
-				msg = "remote job ended " + string(st.State)
-			}
-			j.transition(StateFailed, nil, fmt.Errorf("remote run on %s: %s", node, msg), now)
-		}
-	}()
-	return j, nil
+	s.finishBatch(b)
 }
 
 // publishMember streams one member's terminal state onto the batch's
@@ -686,49 +518,36 @@ func (b *batch) publishMember(j *job) {
 
 // Batch returns a batch's status by id.
 func (s *Server) Batch(id string) (BatchStatus, bool) {
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		return BatchStatus{}, false
-	}
-	return b.status(), true
+	return byID(context.Background(), s, id, 0, nil, (*batch).status)
 }
 
 // WaitBatch blocks until every member of the batch is terminal, the wait
 // elapses, or ctx is done — one long-poll over the whole set.
 func (s *Server) WaitBatch(ctx context.Context, id string, wait time.Duration) (BatchStatus, bool) {
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		return BatchStatus{}, false
-	}
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case <-b.done:
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
-	return b.status(), true
+	return byID(ctx, s, id, wait, nil, (*batch).status)
 }
 
 // CancelBatch stops admitting new members and cancels the queued and
 // running ones. Terminal batches are left untouched.
 func (s *Server) CancelBatch(id string) (BatchStatus, bool) {
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		return BatchStatus{}, false
+	return byID(context.Background(), s, id, 0, s.cancelBatch, (*batch).status)
+}
+
+// cancelBatch stops the runner admitting members (it watches cancelCh)
+// and cancels the admitted ones. A canceled or terminal batch is left
+// alone.
+func (s *Server) cancelBatch(b *batch) {
+	b.mu.Lock()
+	if b.canceled || b.state.terminal() {
+		b.mu.Unlock()
+		return
 	}
-	now := time.Now()
-	for _, j := range b.requestCancel() {
-		j.requestCancel(now)
+	b.canceled = true
+	close(b.cancelCh)
+	members := append([]*job(nil), b.jobs...)
+	b.mu.Unlock()
+	for _, j := range members {
+		s.cancelJob(j)
 	}
 	s.log.Info("batch cancel requested", "batch", b.id)
-	return b.status(), true
 }

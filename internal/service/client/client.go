@@ -198,24 +198,33 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobS
 // Job reads a job's status; wait > 0 long-polls until the job finishes or
 // the window elapses.
 func (c *Client) Job(ctx context.Context, id string, wait time.Duration) (service.JobStatus, error) {
-	path := "/v1/jobs/" + url.PathEscape(id)
-	if wait > 0 {
-		path += "?wait=" + url.QueryEscape(wait.String())
-	}
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodGet, path, nil, &st)
-	return st, err
+	return byID[service.JobStatus](ctx, c, http.MethodGet, "jobs", id, wait)
 }
 
 // Wait long-polls until the job reaches a terminal state or ctx is done.
 func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error) {
+	return await(ctx, id, c.Job, func(st service.JobStatus) bool { return st.State.Terminal() })
+}
+
+// byID reads (GET, long-polling for up to wait) or cancels (DELETE) the
+// job or batch addressed by id under /v1/{kind}/.
+func byID[S any](ctx context.Context, c *Client, method, kind, id string, wait time.Duration) (S, error) {
+	path := "/v1/" + kind + "/" + url.PathEscape(id)
+	if wait > 0 {
+		path += "?wait=" + url.QueryEscape(wait.String())
+	}
+	var st S
+	err := c.do(ctx, method, path, nil, &st)
+	return st, err
+}
+
+// await long-polls get until terminal accepts the status or ctx is done.
+func await[S any](ctx context.Context, id string, get func(context.Context, string, time.Duration) (S, error),
+	terminal func(S) bool) (S, error) {
 	for {
-		st, err := c.Job(ctx, id, defaultPoll)
-		if err != nil {
+		st, err := get(ctx, id, defaultPoll)
+		if err != nil || terminal(st) {
 			return st, err
-		}
-		if st.State == service.StateDone || st.State == service.StateFailed || st.State == service.StateCanceled {
-			return st, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -244,38 +253,21 @@ func (c *Client) SubmitBatch(ctx context.Context, spec service.BatchSpec) (servi
 // Batch reads a batch's status; wait > 0 long-polls until every member is
 // terminal or the window elapses.
 func (c *Client) Batch(ctx context.Context, id string, wait time.Duration) (service.BatchStatus, error) {
-	path := "/v1/batches/" + url.PathEscape(id)
-	if wait > 0 {
-		path += "?wait=" + url.QueryEscape(wait.String())
-	}
-	var st service.BatchStatus
-	err := c.do(ctx, http.MethodGet, path, nil, &st)
-	return st, err
+	return byID[service.BatchStatus](ctx, c, http.MethodGet, "batches", id, wait)
 }
 
 // WaitBatch long-polls until the batch reaches a terminal state or ctx is
 // done.
 func (c *Client) WaitBatch(ctx context.Context, id string) (service.BatchStatus, error) {
-	for {
-		st, err := c.Batch(ctx, id, defaultPoll)
-		if err != nil {
-			return st, err
-		}
-		if st.State == service.BatchDone || st.State == service.BatchCanceled {
-			return st, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-	}
+	return await(ctx, id, c.Batch, func(st service.BatchStatus) bool {
+		return st.State == service.BatchDone || st.State == service.BatchCanceled
+	})
 }
 
 // CancelBatch stops a batch's admission and cancels its non-terminal
 // members.
 func (c *Client) CancelBatch(ctx context.Context, id string) (service.BatchStatus, error) {
-	var st service.BatchStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/batches/"+url.PathEscape(id), nil, &st)
-	return st, err
+	return byID[service.BatchStatus](ctx, c, http.MethodDelete, "batches", id, 0)
 }
 
 // Jobs lists retained job records, newest first. limit 0 means the
@@ -299,9 +291,7 @@ func (c *Client) Jobs(ctx context.Context, limit, offset int) (service.JobsPage,
 
 // Cancel cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &st)
-	return st, err
+	return byID[service.JobStatus](ctx, c, http.MethodDelete, "jobs", id, 0)
 }
 
 // Protocols lists the built-in catalog.

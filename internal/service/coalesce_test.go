@@ -27,7 +27,7 @@ func TestCoalescesIdenticalInFlight(t *testing.T) {
 	}
 	<-started // the executor holds the leader in flight
 
-	var followers []JobStatus
+	var mirrors []JobStatus
 	for i := 0; i < 2; i++ {
 		st, err := s.Submit(ringSpec(3, 5))
 		if err != nil {
@@ -42,7 +42,7 @@ func TestCoalescesIdenticalInFlight(t *testing.T) {
 		if st.Key != leader.Key {
 			t.Fatalf("follower %d key %s, leader key %s", i, st.Key, leader.Key)
 		}
-		followers = append(followers, st)
+		mirrors = append(mirrors, st)
 	}
 	// A different instance does not coalesce.
 	other, err := s.Submit(ringSpec(4, 6))
@@ -61,7 +61,7 @@ func TestCoalescesIdenticalInFlight(t *testing.T) {
 	if lst.State != StateDone || lst.Result == nil {
 		t.Fatalf("leader ended %s (err %q)", lst.State, lst.Error)
 	}
-	for _, f := range followers {
+	for _, f := range mirrors {
 		fst := waitTerminal(t, s, f.ID)
 		if fst.State != StateDone || fst.Result == nil {
 			t.Fatalf("follower %s ended %s (err %q)", f.ID, fst.State, fst.Error)
@@ -74,10 +74,10 @@ func TestCoalescesIdenticalInFlight(t *testing.T) {
 			t.Fatalf("follower %s lost its coalesced mark at completion", f.ID)
 		}
 	}
-	// One leader + one distinct spec ran; the followers must not have.
+	// One leader + one distinct spec ran; the coalesced jobs must not have.
 	waitTerminal(t, s, other.ID)
 	if got := s.metrics.Completed.Load(); got != 2 {
-		t.Fatalf("completed = %d, want 2 (followers must not run checks)", got)
+		t.Fatalf("completed = %d, want 2 (coalesced jobs must not run checks)", got)
 	}
 
 	// The in-flight entry is released on the terminal transition, so a
@@ -91,7 +91,7 @@ func TestCoalescesIdenticalInFlight(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedLeaderCancelsFollowers checks that followers inherit a
+// TestCancelQueuedLeaderCancelsFollowers checks that coalesced jobs inherit a
 // queued leader's cancellation — both via explicit Cancel and via the
 // Shutdown drain.
 func TestCancelQueuedLeaderCancelsFollowers(t *testing.T) {

@@ -91,52 +91,35 @@ func lastEventID(r *http.Request) (uint64, error) {
 	return n, nil
 }
 
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.proxyByID(w, r, id) {
-		return
+// serveEvents serves GET /v1/{jobs,batches}/{id}/events for records of
+// type T: the stream's retained history after the resume id, then the
+// live tail, ending after the record's terminal event.
+func serveEvents[T entry](s *Server, noun string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if s.proxyByID(w, r, id) {
+			return
+		}
+		e, ok := lookup[T](s, id)
+		if !ok {
+			writeError(w, http.StatusNotFound, "no %s %q", noun, id)
+			return
+		}
+		after, err := lastEventID(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		history, sub := e.rec().events.Subscribe(after, s.cfg.EventBuffer)
+		defer sub.Close()
+		s.streamSSE(w, r, history, sub, perSourceID, terminalEvent)
 	}
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	after, err := lastEventID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	history, sub := j.events.Subscribe(after, s.cfg.EventBuffer)
-	defer sub.Close()
-	s.streamSSE(w, r, history, sub, perSourceID, func(ev obs.Event) bool {
-		return ev.Type == obs.EventJob && JobState(ev.State).terminal()
-	})
 }
 
-func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.proxyByID(w, r, id) {
-		return
-	}
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no batch %q", id)
-		return
-	}
-	after, err := lastEventID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	history, sub := b.events.Subscribe(after, s.cfg.EventBuffer)
-	defer sub.Close()
-	s.streamSSE(w, r, history, sub, perSourceID, func(ev obs.Event) bool {
-		return ev.Type == obs.EventBatch && BatchState(ev.State).terminal()
-	})
+// terminalEvent marks the last event of a job or batch stream.
+func terminalEvent(ev obs.Event) bool {
+	return ev.Type == obs.EventJob && JobState(ev.State).terminal() ||
+		ev.Type == obs.EventBatch && BatchState(ev.State).terminal()
 }
 
 func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {

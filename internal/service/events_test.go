@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -592,4 +594,61 @@ func TestQueueWaitHistogram(t *testing.T) {
 	if !strings.Contains(body, `csserved_job_queue_wait_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("queue-wait histogram missing +Inf bucket:\n%s", body)
 	}
+}
+
+// FuzzLastEventID feeds arbitrary Last-Event-ID headers and ?after=
+// values to the SSE resume parser. Nothing may panic; every uint64 must
+// round-trip; anything but a decimal uint64 must come back as an error,
+// which the stream handlers answer with 400.
+func FuzzLastEventID(f *testing.F) {
+	for _, raw := range []string{"", "0", "42", "007", "18446744073709551615",
+		"18446744073709551616", "-1", "+1", " 1", "1 ", "0x10", "1_000", "1e3", "abc", "\x00"} {
+		f.Add(raw, "", uint64(7))
+		f.Add("3", raw, uint64(1<<63))
+	}
+	s := newServer(f, Config{})
+	f.Fuzz(func(t *testing.T, header, after string, n uint64) {
+		req := httptest.NewRequest("GET", "/v1/events", nil)
+		req.URL.RawQuery = url.Values{"after": {after}}.Encode()
+		req.Header.Set("Last-Event-ID", header)
+		raw := header
+		if after != "" {
+			raw = after
+		}
+		got, err := lastEventID(req)
+		valid := raw != ""
+		for _, r := range raw {
+			valid = valid && '0' <= r && r <= '9'
+		}
+		want := new(big.Int)
+		if valid {
+			_, valid = want.SetString(raw, 10)
+			valid = valid && want.IsUint64()
+		}
+		switch {
+		case raw == "":
+			if got != 0 || err != nil {
+				t.Fatalf("no resume id: %d, %v; want 0, nil", got, err)
+			}
+		case valid:
+			if err != nil || got != want.Uint64() {
+				t.Fatalf("resume id %q: %d, %v; want %d", raw, got, err, want.Uint64())
+			}
+		default:
+			if err == nil {
+				t.Fatalf("resume id %q accepted as %d", raw, got)
+			}
+			rec := httptest.NewRecorder()
+			s.handleFirehose(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("resume id %q: status %d, want 400", raw, rec.Code)
+			}
+		}
+
+		req = httptest.NewRequest("GET", "/v1/events", nil)
+		req.Header.Set("Last-Event-ID", strconv.FormatUint(n, 10))
+		if got, err := lastEventID(req); err != nil || got != n {
+			t.Fatalf("round trip of %d: %d, %v", n, got, err)
+		}
+	})
 }

@@ -78,13 +78,13 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
+	mux.HandleFunc("GET /v1/jobs/{id}", serveByID(s, "job", nil, (*job).status))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", serveByID(s, "job", s.cancelJob, (*job).status))
 	mux.HandleFunc("POST /v1/batches", s.handleSubmitBatch)
-	mux.HandleFunc("GET /v1/batches/{id}", s.handleGetBatch)
-	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancelBatch)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/batches/{id}/events", s.handleBatchEvents)
+	mux.HandleFunc("GET /v1/batches/{id}", serveByID(s, "batch", nil, (*batch).status))
+	mux.HandleFunc("DELETE /v1/batches/{id}", serveByID(s, "batch", s.cancelBatch, (*batch).status))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", serveEvents[*job](s, "job"))
+	mux.HandleFunc("GET /v1/batches/{id}/events", serveEvents[*batch](s, "batch"))
 	mux.HandleFunc("GET /v1/events", s.handleFirehose)
 	mux.HandleFunc("GET /v1/protocols", s.handleProtocols)
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
@@ -204,38 +204,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, st)
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.proxyByID(w, r, id) {
-		return
-	}
-	var wait time.Duration
-	if ws := r.URL.Query().Get("wait"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "bad wait %q (want a duration like 2s)", ws)
+// serveByID serves GET and DELETE /v1/{jobs,batches}/{id} for records of
+// type T through byID: proxied to the owning node in a cluster, 404
+// naming noun when absent. GET long-polls with ?wait=; DELETE applies
+// act, the cancel.
+func serveByID[T entry, S any](s *Server, noun string, act func(T), status func(T) S) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if s.proxyByID(w, r, id) {
 			return
 		}
-		wait = d
+		var wait time.Duration
+		if ws := r.URL.Query().Get("wait"); ws != "" && act == nil {
+			d, err := time.ParseDuration(ws)
+			if err != nil || d < 0 {
+				writeError(w, http.StatusBadRequest, "bad wait %q (want a duration like 2s)", ws)
+				return
+			}
+			wait = d
+		}
+		st, ok := byID(r.Context(), s, id, wait, act, status)
+		if !ok {
+			writeError(w, http.StatusNotFound, "no %s %q", noun, id)
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
-	st, ok := s.WaitJob(r.Context(), id, wait)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if s.proxyByID(w, r, r.PathValue("id")) {
-		return
-	}
-	st, ok := s.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -259,40 +253,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.proxyByID(w, r, id) {
-		return
-	}
-	var wait time.Duration
-	if ws := r.URL.Query().Get("wait"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "bad wait %q (want a duration like 5s)", ws)
-			return
-		}
-		wait = d
-	}
-	st, ok := s.WaitBatch(r.Context(), id, wait)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no batch %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
-	if s.proxyByID(w, r, r.PathValue("id")) {
-		return
-	}
-	st, ok := s.CancelBatch(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no batch %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {

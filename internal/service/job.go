@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"nonmask/internal/constraint"
@@ -388,43 +387,53 @@ func validateStaticOptions(o verify.Options) error {
 	return nil
 }
 
-// job is the server-side record of one submission.
-type job struct {
-	id string
-	c  *compiled
-	// node is the server's cluster node name (newJobLocked stamps it).
-	node string
+// jobKind is how a job record reaches its terminal state. It is fixed
+// when the record is created, before any reader can see it.
+type jobKind uint8
 
-	mu        sync.Mutex
-	state     JobState
-	cached    bool
-	coalesced bool
-	err       error
-	result    *Result
-	submitted time.Time
-	finished  time.Time
-	cancel    func() // non-nil while running; cancels the check context
+const (
+	// kindExecuted runs its own check on this node's queue.
+	kindExecuted jobKind = iota
+	// kindCached mirrors a verdict the cache already holds: its source is
+	// terminal at admission, so it finishes synchronously.
+	kindCached
+	// kindCoalesced mirrors an identical executed job already in flight
+	// on this node.
+	kindCoalesced
+	// kindMirrored mirrors a run of its spec on the key's owner node (a
+	// batch member a peer owns), or the local job admitted in its place
+	// when the owner is unreachable.
+	kindMirrored
+)
 
-	// followers are coalesced jobs waiting on this job's terminal
-	// transition; they inherit it verbatim (single-flight).
-	followers []*job
-
-	// onTerminal, when non-nil, runs once after the terminal transition
-	// (outside j.mu); the server uses it to release the job's in-flight
-	// coalescing entry.
-	onTerminal func()
-
-	// events is the job's bus stream (newJobLocked attaches it); its
-	// sequence is the replayable event log SSE subscribers drain. Nil on
-	// jobs never registered with a server (tests), which Publish tolerates.
-	events *obs.Stream
-
-	// done is closed on the terminal transition; long-polls wait on it.
-	done chan struct{}
+// outcome is a job's terminal state: what finish applies, and what a
+// mirror copies from its source.
+type outcome struct {
+	state  JobState
+	result *Result
+	err    error
+	// cached reports a verdict served from a cache, here or on the owner
+	// node, without a fresh check.
+	cached bool
 }
 
-func newJob(id string, c *compiled, now time.Time) *job {
-	return &job{id: id, c: c, state: StateQueued, submitted: now, done: make(chan struct{})}
+// job is the server-side record of one submission.
+type job struct {
+	record
+	c    *compiled
+	kind jobKind
+	// node is the server's cluster node name.
+	node string
+	// quota is the tenant slot an executed record holds until finish
+	// (nil when untenanted).
+	quota *Tenant
+
+	// Guarded by record.mu. state runs queued → running (executed records
+	// only) → terminal, and the rest of the outcome is set with the
+	// terminal state.
+	outcome
+	// cancel interrupts a running check, or a mirror's remote run.
+	cancel func()
 }
 
 // status snapshots the wire form.
@@ -439,7 +448,7 @@ func (j *job) status() JobStatus {
 		Node:        j.node,
 		Tenant:      j.c.tenant,
 		Cached:      j.cached,
-		Coalesced:   j.coalesced,
+		Coalesced:   j.kind == kindCoalesced,
 		SubmittedAt: j.submitted,
 		FinishedAt:  j.finished,
 	}
@@ -454,80 +463,6 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// transition moves the job to a terminal state exactly once and wakes
-// long-polls. Coalesced followers inherit the same terminal state, and
-// the server's in-flight entry (if any) is released. Returns false if the
-// job was already terminal.
-func (j *job) transition(state JobState, res *Result, err error, now time.Time) bool {
-	j.mu.Lock()
-	followers, ok := j.terminateLocked(state, res, err, now)
-	j.mu.Unlock()
-	if !ok {
-		return false
-	}
-	j.settle(followers, state, res, err, now)
-	return true
-}
-
-// terminateLocked applies the terminal transition with j.mu held and
-// returns the coalesced followers to notify. Callers must hand them to
-// settle after releasing j.mu — follower transitions take the followers'
-// own locks, and the lock order is strictly leader before follower.
-func (j *job) terminateLocked(state JobState, res *Result, err error, now time.Time) ([]*job, bool) {
-	if j.state.terminal() {
-		return nil, false
-	}
-	j.state = state
-	j.result = res
-	j.err = err
-	j.finished = now
-	j.cancel = nil
-	followers := j.followers
-	j.followers = nil
-	ev := obs.Event{Type: obs.EventJob, State: string(state)}
-	switch {
-	case err != nil:
-		ev.Detail = err.Error()
-	case res != nil:
-		ev.Detail = res.Verdict
-		if j.cached {
-			ev.Detail += " (cached)"
-		} else if j.coalesced {
-			ev.Detail += " (coalesced)"
-		}
-	}
-	j.events.Publish(ev)
-	close(j.done)
-	return followers, true
-}
-
-// settle runs the post-terminal notifications outside j.mu: followers are
-// completed with the leader's terminal state, then the server-side hook
-// (the in-flight coalescing entry) is released.
-func (j *job) settle(followers []*job, state JobState, res *Result, err error, now time.Time) {
-	for _, f := range followers {
-		f.transition(state, res, err, now)
-	}
-	if j.onTerminal != nil {
-		j.onTerminal()
-	}
-}
-
-// attachFollower links a coalesced submission to this job. A leader that
-// already reached a terminal state completes the follower immediately;
-// otherwise the follower inherits the leader's eventual transition.
-func (j *job) attachFollower(f *job, now time.Time) {
-	j.mu.Lock()
-	if j.state.terminal() {
-		state, res, err := j.state, j.result, j.err
-		j.mu.Unlock()
-		f.transition(state, res, err, now)
-		return
-	}
-	j.followers = append(j.followers, f)
-	j.mu.Unlock()
-}
-
 // markRunning records the executor pickup and its cancel hook; it returns
 // false when the job was canceled while queued.
 func (j *job) markRunning(cancel func()) bool {
@@ -540,26 +475,4 @@ func (j *job) markRunning(cancel func()) bool {
 	j.cancel = cancel
 	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateRunning)})
 	return true
-}
-
-// requestCancel cancels a queued job immediately, or interrupts a running
-// one via its check context. Terminal jobs are left alone.
-func (j *job) requestCancel(now time.Time) (affected bool) {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		// Route through the shared terminal path so coalesced followers
-		// are canceled with their leader and the in-flight entry drops.
-		err := fmt.Errorf("canceled while queued")
-		followers, _ := j.terminateLocked(StateCanceled, nil, err, now)
-		j.mu.Unlock()
-		j.settle(followers, StateCanceled, nil, err, now)
-		return true
-	}
-	cancel := j.cancel
-	running := j.state == StateRunning
-	j.mu.Unlock()
-	if running && cancel != nil {
-		cancel()
-	}
-	return running
 }

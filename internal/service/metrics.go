@@ -125,8 +125,8 @@ type Metrics struct {
 	// HighPriority counts jobs admitted to the high-priority queue.
 	HighPriority atomic.Int64
 	// Forwarded counts submissions shipped to their owner node (direct
-	// forwards plus batch shadow members); ForwardFallbacks counts
-	// forwards that failed in transport and ran locally instead.
+	// forwards plus batch members mirroring remote runs); ForwardFallbacks
+	// counts those that failed in transport and ran locally instead.
 	Forwarded        atomic.Int64
 	ForwardFallbacks atomic.Int64
 	// Proxied counts id-addressed requests reverse-proxied to the node

@@ -11,7 +11,7 @@ import (
 	"nonmask/internal/verify"
 )
 
-func newServer(t *testing.T, cfg Config) *Server {
+func newServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s := New(cfg)
 	t.Cleanup(func() {
@@ -136,8 +136,8 @@ func TestSweepExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, ok := s.jobs[done.ID]; ok {
-		j.transition(StateCanceled, nil, nil, time.Now())
+	if j, ok := lookup[*job](s, done.ID); ok {
+		s.finish(j, StateQueued, outcome{state: StateCanceled})
 	} else {
 		t.Fatalf("no record for %s", done.ID)
 	}

@@ -186,21 +186,18 @@ type Server struct {
 	// preempt queue order — never running work.
 	queue     chan *job
 	queueHigh chan *job
-	jobs      map[string]*job
-	order     []string // job ids, admission order, for record eviction
-	seq       uint64
-	// inflight maps a content-address to its leader job from enqueue until
-	// the leader's terminal transition; identical submissions in that
-	// window coalesce onto the leader instead of running their own check.
+	// table holds every job and batch record (record.go).
+	table    table
+	seq      uint64
+	batchSeq uint64
+	// inflight maps a content-address to its executed job from enqueue
+	// until that job's terminal transition; identical submissions in that
+	// window become coalesced mirrors of it instead of running a check.
 	inflight map[string]*job
-	// batches are the batch records (internal/service/batch.go), bounded
-	// like job records; batchOrder is admission order for eviction.
-	batches    map[string]*batch
-	batchOrder []string
-	batchSeq   uint64
 
 	wg        sync.WaitGroup // executor goroutines
 	batchWG   sync.WaitGroup // batch runner goroutines
+	mirrors   sync.WaitGroup // goroutines finishing coalesced and mirrored records
 	sweepStop chan struct{}  // closed by Shutdown to halt the TTL sweeper
 	sweepDone chan struct{}
 }
@@ -218,13 +215,13 @@ func New(cfg Config) *Server {
 		stop:      cancel,
 		queue:     make(chan *job, cfg.QueueSize),
 		queueHigh: make(chan *job, cfg.QueueSize),
-		jobs:      make(map[string]*job),
 		inflight:  make(map[string]*job),
-		batches:   make(map[string]*batch),
 		bus:       obs.NewBus(cfg.EventHistory),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 	}
+	s.table = table{bus: s.bus, byID: make(map[string]entry),
+		jobs: order{max: cfg.MaxRecords}, batches: order{max: maxBatches}}
 	s.bus.SetNode(cfg.NodeName)
 	s.serverEvents = s.bus.Stream("server")
 	for i := 0; i < cfg.Executors; i++ {
@@ -261,32 +258,12 @@ func (s *Server) sweeper() {
 	}
 }
 
-// sweepExpired removes finished records whose terminal transition is older
-// than RecordTTL, returning how many were evicted.
+// sweepExpired removes finished job records whose terminal transition is
+// older than RecordTTL, returning how many were evicted.
 func (s *Server) sweepExpired(now time.Time) int {
-	cutoff := now.Add(-s.cfg.RecordTTL)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	evicted := 0
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue // already evicted by the MaxRecords bound
-		}
-		j.mu.Lock()
-		expired := j.state.terminal() && !j.finished.IsZero() && j.finished.Before(cutoff)
-		j.mu.Unlock()
-		if expired {
-			delete(s.jobs, id)
-			s.bus.Remove(id)
-			evicted++
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-	return evicted
+	return s.table.evict(&s.table.jobs, len(s.table.jobs.ids), now.Add(-s.cfg.RecordTTL))
 }
 
 // Metrics exposes the server's counters (read-only use).
@@ -324,6 +301,12 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.msg }
 
+// reject counts a refused submission and returns its error.
+func (s *Server) reject(code int, tenant, format string, args ...any) error {
+	s.metrics.Rejected.Add(1)
+	return &submitError{code: code, msg: fmt.Sprintf(format, args...), tenant: tenant}
+}
+
 // errorCode maps an error to its HTTP status (500 for unknown errors).
 func errorCode(err error) int {
 	var he HTTPStatusError
@@ -331,177 +314,6 @@ func errorCode(err error) int {
 		return he.HTTPStatus()
 	}
 	return http.StatusInternalServerError
-}
-
-// Submit validates, content-addresses, and admits a job without a
-// tenant, as the entry node: the single-node path and the tests' front
-// door.
-func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	return s.SubmitAs(spec, "", false)
-}
-
-// SubmitAs validates, content-addresses, and admits a job on behalf of
-// tenant. Cache hits return an already-done job without touching the
-// queue. In a cluster, a submission whose fingerprint another node owns
-// is forwarded there (forwarded marks a submission already routed by a
-// peer, which always runs locally — the loop-free guarantee); if the
-// owner is unreachable the job runs here instead, trading placement for
-// availability. Misses are enqueued unless the tenant's quota is
-// exhausted (429), the queue is full (429), or the server is draining
-// (503).
-func (s *Server) SubmitAs(spec JobSpec, tenant string, forwarded bool) (JobStatus, error) {
-	c, err := compileSpec(spec, s.cfg)
-	if err != nil {
-		s.metrics.Rejected.Add(1)
-		return JobStatus{}, &submitError{code: http.StatusBadRequest, msg: err.Error(), tenant: tenant}
-	}
-	c.tenant = tenant
-	if rt := s.cfg.Router; rt != nil && !forwarded {
-		if node, local := rt.Owner(c.key); !local {
-			// A replicated verdict already on this node is served from here
-			// — any node can answer for any cached fingerprint.
-			if hit, _ := s.cache.get(c.key); hit == nil {
-				if st, err := s.forward(rt, node, tenant, spec); err == nil {
-					return st, nil
-				} else if he := HTTPStatusError(nil); errors.As(err, &he) {
-					// The owner answered: its rejection is the verdict.
-					return JobStatus{}, &submitError{code: he.HTTPStatus(), msg: err.Error(), tenant: tenant}
-				}
-				// Transport failure: the owner is unreachable. Run the job
-				// here so a dead peer degrades placement, not service.
-				s.metrics.ForwardFallbacks.Add(1)
-				s.log.Warn("forward failed; running locally", "owner", node, "key", c.key)
-			}
-		}
-	}
-	j, err := s.admit(c)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return j.status(), nil
-}
-
-// forward ships a submission to its owner node.
-func (s *Server) forward(rt Router, node, tenant string, spec JobSpec) (JobStatus, error) {
-	ctx, cancel := context.WithTimeout(s.baseCtx, 15*time.Second)
-	defer cancel()
-	st, err := rt.SubmitRemote(ctx, node, tenant, spec)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	s.metrics.Forwarded.Add(1)
-	return st, nil
-}
-
-// admit content-addresses and admits a compiled job: the shared back half
-// of Submit and the batch runner's member fan-out. Cache lookups consult
-// the persistent backend on a memory miss; identical in-flight
-// submissions coalesce; fresh work is enqueued unless the queue is full
-// (429) or the server is draining (503).
-func (s *Server) admit(c *compiled) (*job, error) {
-	now := time.Now()
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		return nil, &submitError{code: http.StatusServiceUnavailable, msg: "server is draining", tenant: c.tenant}
-	}
-	if hit, fromStore := s.cache.get(c.key); hit != nil {
-		j := s.admitLocked(c, now)
-		s.mu.Unlock()
-		s.metrics.Submitted.Add(1)
-		s.metrics.CacheHits.Add(1)
-		if fromStore {
-			s.metrics.StoreHits.Add(1)
-		}
-		j.mu.Lock()
-		j.cached = true
-		j.mu.Unlock()
-		j.transition(StateDone, hit, nil, now)
-		s.log.Info("job done", "job", j.id, "program", c.name, "cached", true,
-			"store", fromStore, "verdict", hit.Verdict)
-		return j, nil
-	}
-	// Single-flight: an identical submission already queued or running
-	// coalesces onto that leader — the follower gets its own job record
-	// (and id) but no queue slot or check run; it inherits the leader's
-	// terminal state when the leader finishes.
-	if leader, ok := s.inflight[c.key]; ok {
-		j := s.admitLocked(c, now)
-		j.coalesced = true
-		s.mu.Unlock()
-		s.metrics.Submitted.Add(1)
-		s.metrics.Coalesced.Add(1)
-		leader.attachFollower(j, now)
-		s.log.Info("job coalesced", "job", j.id, "leader", leader.id,
-			"program", c.name, "key", c.key)
-		return j, nil
-	}
-	// Fresh work holds one of its tenant's in-flight quota slots from
-	// here to the terminal transition. Cache hits and coalesced followers
-	// never reach this point — they consume no executor, so no quota.
-	var tn *Tenant
-	if s.cfg.Tenants != nil && c.tenant != "" && c.tenant != ClusterTenant {
-		tn = s.cfg.Tenants.ByName(c.tenant)
-		if !tn.tryAcquire() {
-			s.mu.Unlock()
-			s.metrics.Rejected.Add(1)
-			s.metrics.QuotaRejected.Add(1)
-			return nil, &submitError{code: http.StatusTooManyRequests,
-				msg:    fmt.Sprintf("tenant %q quota exhausted (%d jobs in flight); retry later", c.tenant, tn.Limits().Quota),
-				tenant: c.tenant}
-		}
-	}
-	// Reserve a queue slot before recording the job so a rejected
-	// submission leaves no trace.
-	j := s.newJobLocked(c, now)
-	// The terminal transition releases the in-flight entry and the quota
-	// slot; wire the hook before the enqueue so an executor cannot finish
-	// the job first. The pointer comparison guards against a later leader
-	// reusing the key.
-	j.onTerminal = func() {
-		tn.release()
-		s.mu.Lock()
-		if s.inflight[c.key] == j {
-			delete(s.inflight, c.key)
-		}
-		s.mu.Unlock()
-	}
-	q := s.queue
-	if c.priority {
-		q = s.queueHigh
-	}
-	// An executor may pick the job up as soon as it is on the queue and
-	// publishes "running" under j.mu; holding j.mu from the send until
-	// "queued" is out keeps the stream's lifecycle in order.
-	j.mu.Lock()
-	select {
-	case q <- j:
-	default:
-		j.mu.Unlock()
-		s.bus.Remove(j.id)
-		tn.release()
-		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		return nil, &submitError{code: http.StatusTooManyRequests,
-			msg:    fmt.Sprintf("queue full (%d queued); retry later", s.cfg.QueueSize),
-			tenant: c.tenant}
-	}
-	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateQueued)})
-	j.mu.Unlock()
-	s.inflight[c.key] = j
-	s.recordLocked(j)
-	s.mu.Unlock()
-	s.metrics.Submitted.Add(1)
-	s.metrics.CacheMisses.Add(1)
-	s.metrics.QueueDepth.Add(1)
-	if c.priority {
-		s.metrics.HighPriority.Add(1)
-	}
-	s.log.Info("job queued", "job", j.id, "program", c.name, "key", c.key,
-		"tenant", c.tenant, "priority", c.priority)
-	return j, nil
 }
 
 // JobsPage is one page of job records returned by ListJobs and
@@ -534,13 +346,10 @@ func (s *Server) ListJobs(limit, offset int) JobsPage {
 	// outside it: status() takes each job's own lock.
 	total := 0
 	var page []*job
-	for i := len(s.order) - 1; i >= 0; i-- {
-		j, ok := s.jobs[s.order[i]]
-		if !ok {
-			continue
-		}
+	ids := s.table.jobs.ids
+	for i := len(ids) - 1; i >= 0; i-- {
 		if total >= offset && len(page) < limit {
-			page = append(page, j)
+			page = append(page, s.table.byID[ids[i]].(*job))
 		}
 		total++
 	}
@@ -550,32 +359,6 @@ func (s *Server) ListJobs(limit, offset int) JobsPage {
 		out.Jobs = append(out.Jobs, j.status())
 	}
 	return out
-}
-
-// admitLocked creates and records a job that needs no queue slot,
-// publishing the "queued" lifecycle event every job's sequence starts
-// with (s.mu held).
-func (s *Server) admitLocked(c *compiled, now time.Time) *job {
-	j := s.newJobLocked(c, now)
-	j.events.Publish(obs.Event{Type: obs.EventJob, State: string(StateQueued)})
-	s.recordLocked(j)
-	return j
-}
-
-// newJobLocked creates a job with the next id, stamped with this node
-// and attached to its event stream (s.mu held). Both happen before the
-// job can reach an executor, which reads them; a job that is then
-// rejected must drop its stream with s.bus.Remove.
-func (s *Server) newJobLocked(c *compiled, now time.Time) *job {
-	j := newJob(s.nextIDLocked(), c, now)
-	j.node = s.cfg.NodeName
-	j.events = s.bus.Stream(j.id)
-	return j
-}
-
-func (s *Server) nextIDLocked() string {
-	s.seq++
-	return s.prefixID(fmt.Sprintf("j-%08d", s.seq))
 }
 
 // prefixID stamps the node name onto an id in cluster mode
@@ -588,80 +371,21 @@ func (s *Server) prefixID(id string) string {
 	return s.cfg.NodeName + "." + id
 }
 
-// recordLocked retains a job record and evicts the oldest finished
-// records past the retention bound (s.mu held).
-func (s *Server) recordLocked(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	for len(s.jobs) > s.cfg.MaxRecords {
-		evicted := false
-		for i, id := range s.order {
-			if jj, ok := s.jobs[id]; ok {
-				jj.mu.Lock()
-				terminal := jj.state.terminal()
-				jj.mu.Unlock()
-				if terminal {
-					delete(s.jobs, id)
-					s.bus.Remove(id)
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					evicted = true
-					break
-				}
-			} else {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live; let the map grow rather than drop state
-		}
-	}
-}
-
 // Job returns a job's status by id.
 func (s *Server) Job(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false
-	}
-	return j.status(), true
+	return byID(context.Background(), s, id, 0, nil, (*job).status)
 }
 
 // WaitJob blocks until the job reaches a terminal state, the wait elapses,
 // or ctx is done, then returns the current status.
 func (s *Server) WaitJob(ctx context.Context, id string, wait time.Duration) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false
-	}
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
-	return j.status(), true
+	return byID(ctx, s, id, wait, nil, (*job).status)
 }
 
 // Cancel cancels a queued or running job. It reports whether the job
 // exists; already-terminal jobs are left untouched.
 func (s *Server) Cancel(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false
-	}
-	j.requestCancel(time.Now())
-	return j.status(), true
+	return byID(context.Background(), s, id, 0, s.cancelJob, (*job).status)
 }
 
 // executor pulls jobs off the queues and runs them through verify.Check.
@@ -678,36 +402,22 @@ func (s *Server) executor() {
 }
 
 // nextJob dequeues the next job, high-priority first: a non-blocking
-// probe of queueHigh precedes every blocking wait, so a waiting
+// probe of queueHigh precedes the blocking wait, so a waiting
 // high-priority job always beats a waiting normal one — queue order,
-// never running work, is what priority preempts. Returns false once
-// both queues are closed and drained (shutdown).
+// never running work, is what priority preempts. Returns false once a
+// queue is closed: Shutdown closes them only while it cancels every job
+// still queued, so nothing is left for an executor to run.
 func (s *Server) nextJob() (*job, bool) {
-	for {
-		select {
-		case j, ok := <-s.queueHigh:
-			if ok {
-				return j, true
-			}
-			// High queue closed (shutdown): drain what's left of normal.
-			j, ok = <-s.queue
-			return j, ok
-		default:
-		}
-		select {
-		case j, ok := <-s.queueHigh:
-			if ok {
-				return j, true
-			}
-			j, ok = <-s.queue
-			return j, ok
-		case j, ok := <-s.queue:
-			if ok {
-				return j, true
-			}
-			j, ok = <-s.queueHigh
-			return j, ok
-		}
+	select {
+	case j, ok := <-s.queueHigh:
+		return j, ok
+	default:
+	}
+	select {
+	case j, ok := <-s.queueHigh:
+		return j, ok
+	case j, ok := <-s.queue:
+		return j, ok
 	}
 }
 
@@ -723,9 +433,7 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !j.markRunning(cancel) {
-		// Canceled while queued.
-		s.metrics.Canceled.Add(1)
-		return
+		return // canceled while queued
 	}
 	if testHookJobRunning != nil {
 		testHookJobRunning(j.id)
@@ -764,7 +472,7 @@ func (s *Server) runJob(j *job) {
 		verify.WithProgress(prog))
 	if rep != nil {
 		// Release the space's disk tier (mmap'd CSR segments) once the job
-		// is settled; a no-op for in-RAM spaces.
+		// is finished; a no-op for in-RAM spaces.
 		defer func() {
 			if cerr := rep.Close(); cerr != nil {
 				jlog.Warn("space close failed", "error", cerr)
@@ -796,12 +504,7 @@ func (s *Server) runJob(j *job) {
 			state = StateCanceled
 			err = fmt.Errorf("canceled: %w", err)
 		}
-		if state == StateCanceled {
-			s.metrics.Canceled.Add(1)
-		} else {
-			s.metrics.Failed.Add(1)
-		}
-		j.transition(state, nil, err, now)
+		s.finish(j, StateRunning, outcome{state: state, err: err})
 		jlog.Warn("job "+string(state), "error", err, "elapsed_ms", now.Sub(start).Seconds()*1000)
 		return
 	}
@@ -831,7 +534,6 @@ func (s *Server) runJob(j *job) {
 	} else if s.cfg.Store != nil {
 		s.metrics.StorePuts.Add(1)
 	}
-	s.metrics.Completed.Add(1)
 	if res.Verdict == VerdictSatisfied {
 		s.metrics.Satisfied.Add(1)
 	} else {
@@ -841,7 +543,7 @@ func (s *Server) runJob(j *job) {
 	for _, p := range res.Passes {
 		s.metrics.ObservePass(p)
 	}
-	j.transition(StateDone, res, nil, now)
+	s.finish(j, StateRunning, outcome{state: StateDone, result: res})
 	jlog.Info("job done", "verdict", res.Verdict, "daemon", res.Daemon,
 		"states", res.States, "elapsed_ms", res.ElapsedMS)
 }
@@ -881,15 +583,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// outside s.mu: draining is set, so no new submission can race the
 	// close, and the queued-cancel transitions must be free to take s.mu
 	// when they release their coalescing entries.
-	now := time.Now()
 	for _, q := range []chan *job{s.queueHigh, s.queue} {
 	loop:
 		for {
 			select {
 			case j := <-q:
 				s.metrics.QueueDepth.Add(-1)
-				j.requestCancel(now)
-				s.metrics.Canceled.Add(1)
+				s.cancelJob(j)
 			default:
 				break loop
 			}
@@ -907,23 +607,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.stop()
-		s.batchWG.Wait()
 		s.closeBus()
 		return nil
 	case <-ctx.Done():
 		s.stop() // hard-cancel in-flight checks
 		<-done
-		s.batchWG.Wait()
 		s.closeBus()
 		return ctx.Err()
 	}
 }
 
-// closeBus publishes the terminal server event and shuts the event bus
-// down, ending every SSE stream. It runs after the executors and batch
-// runners exit, so every job and batch stream has already carried its
-// terminal event.
+// closeBus waits for the batch runners and the mirror goroutines, then
+// publishes the terminal server event and shuts the event bus down,
+// ending every SSE stream. It runs after the executors exit and s.stop
+// ends every remote wait, so every job and batch stream has already
+// carried its terminal event.
 func (s *Server) closeBus() {
+	s.batchWG.Wait()
+	s.mirrors.Wait()
 	s.serverEvents.Publish(obs.Event{Type: obs.EventServer, State: "stopped"})
 	s.bus.Close()
 }

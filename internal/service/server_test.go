@@ -340,7 +340,7 @@ func TestRecordEviction(t *testing.T) {
 		last = waitTerminal(t, s, st.ID)
 	}
 	s.mu.Lock()
-	n := len(s.jobs)
+	n := len(s.table.jobs.ids)
 	s.mu.Unlock()
 	if n > 3 {
 		t.Fatalf("retained %d job records, want <= 3", n)
@@ -391,9 +391,7 @@ func TestAdmitRacesExecutors(t *testing.T) {
 		if st := waitTerminal(t, s, id); st.State != StateDone {
 			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
 		}
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
+		j, _ := lookup[*job](s, id)
 		hist, sub := j.events.Subscribe(0, 1)
 		sub.Close()
 		var states []string

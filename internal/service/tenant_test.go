@@ -170,7 +170,7 @@ func TestQuotaBoundsInFlightJobs(t *testing.T) {
 	if got := s.metrics.QuotaRejected.Load(); got != 1 {
 		t.Fatalf("quota rejected = %d, want 1", got)
 	}
-	// An identical submission coalesces — followers hold no quota slot.
+	// An identical submission coalesces — coalesced jobs hold no quota slot.
 	co, err := s.SubmitAs(ringSpec(3, 5), "alice", false)
 	if err != nil {
 		t.Fatalf("coalesced resubmit bounced: %v", err)
