@@ -44,8 +44,9 @@ func (t typ) String() string {
 	return "int"
 }
 
-// cexpr is a compiled expression: quantifier bindings live in q.
-type cexpr func(st *program.State, q []int32) int32
+// cexpr is a compiled expression. Quantifiers are unrolled at compile
+// time, so a quantifier variable is a constant inside each body copy.
+type cexpr func(st *program.State) int32
 
 // varSym is a declared variable or array.
 type varSym struct {
@@ -392,12 +393,6 @@ func (c *compiler) constEval(e Expr, env map[string]int32) (int32, error) {
 }
 
 func applyBinary(pos Pos, op tokenKind, l, r int32) (int32, error) {
-	b := func(v bool) int32 {
-		if v {
-			return 1
-		}
-		return 0
-	}
 	switch op {
 	case tokPlus:
 		return l + r, nil
@@ -420,21 +415,21 @@ func applyBinary(pos Pos, op tokenKind, l, r int32) (int32, error) {
 		}
 		return v, nil
 	case tokEq:
-		return b(l == r), nil
+		return b2i(l == r), nil
 	case tokNeq:
-		return b(l != r), nil
+		return b2i(l != r), nil
 	case tokLt:
-		return b(l < r), nil
+		return b2i(l < r), nil
 	case tokLe:
-		return b(l <= r), nil
+		return b2i(l <= r), nil
 	case tokGt:
-		return b(l > r), nil
+		return b2i(l > r), nil
 	case tokGe:
-		return b(l >= r), nil
+		return b2i(l >= r), nil
 	case tokAnd:
-		return b(l != 0 && r != 0), nil
+		return b2i(l != 0 && r != 0), nil
 	case tokOr:
-		return b(l != 0 || r != 0), nil
+		return b2i(l != 0 || r != 0), nil
 	default:
 		return 0, errf(pos, "unsupported operator %s", op)
 	}

@@ -2,9 +2,11 @@ package gcl
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -469,5 +471,160 @@ action swap closure : x != y && x + y < 5 -> x, y := y, x;
 		}
 	}); n != 0 {
 		t.Errorf("compiled guard and body allocate %.1f times per run, want 0", n)
+	}
+
+	// Quantified guards, with an index on the bound variable, run every
+	// body copy here: no value of k makes the forall false early.
+	q := mustLoad(t, `
+program quant;
+var c[4] : 0..3;
+var x : 0..3;
+invariant I : true;
+action probe convergence establishes I : false -> skip;
+action scan closure : (forall k in 0..3 : (c[k] <= x || k = 0)) && !(exists k in 1..3 : (c[k] = 3)) -> x := c[0];
+`)
+	scan := q.Program.Actions[1]
+	qs := q.Schema.NewState()
+	qs.Set(q.Schema.MustLookup("x"), 2)
+	if !scan.Guard(qs) {
+		t.Fatalf("scan disabled at %s", qs)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if scan.Guard(qs) {
+			scan.Body(qs)
+		}
+	}); n != 0 {
+		t.Errorf("compiled forall guard allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestFoldedGuardsMatchTheirMeaning evaluates guards whose quantifier
+// copies fold in every way — dropped, deciding the quantifier, left to
+// the state — at every state, against the same guard written in Go.
+func TestFoldedGuardsMatchTheirMeaning(t *testing.T) {
+	for _, tc := range []struct {
+		guard string
+		want  func(c []int32) bool
+	}{
+		{"forall k in 0..2 : (k = 1 || c[k] < 2)", func(c []int32) bool { return c[0] < 2 && c[2] < 2 }},
+		{"exists k in 0..2 : (k != 1 && c[k] = 3)", func(c []int32) bool { return c[0] == 3 || c[2] == 3 }},
+		{"forall k in 0..2 : (c[k] > 0 && k < 2)", func([]int32) bool { return false }},
+		{"exists k in 0..2 : (k = 1 || c[k] = 3)", func([]int32) bool { return true }},
+		{"forall k in 0..2 : ((k = 0 && c[k] = 1) || (k > 0 && c[k] = c[k-1]))",
+			func(c []int32) bool { return c[0] == 1 && c[1] == 1 && c[2] == 1 }},
+		{"!(forall k in 1..0 : (c[k] = 9)) || c[0] = 2", func(c []int32) bool { return c[0] == 2 }},
+		{"exists k in 0..2 : (P[k] = 2 && c[k] != P[k])", func(c []int32) bool { return c[0] != 2 || c[2] != 2 }},
+		{"forall k in 0..2 : (exists j in 0..2 : (j != k && c[j] = c[k]))",
+			func(c []int32) bool { return c[0] == c[1] && c[1] == c[2] || c[0] == c[1] && c[2] == c[0] }},
+	} {
+		m := mustLoad(t, `
+program fold;
+const P = [2, 0, 2];
+var c[3] : 0..3;
+invariant I : true;
+action probe convergence establishes I : false -> skip;
+action g closure : `+tc.guard+` -> skip;
+`)
+		g := m.Program.Actions[1]
+		st := m.Schema.NewState()
+		for {
+			if got, want := g.Guard(st), tc.want(st.Values()); got != want {
+				t.Errorf("%s at %s = %v, want %v", tc.guard, st, got, want)
+			}
+			if !nextValues(m.Schema, st) {
+				break
+			}
+		}
+	}
+}
+
+// nextValues steps st to the next state of its schema, the last variable
+// fastest, and reports false once every state was seen.
+func nextValues(s *program.Schema, st *program.State) bool {
+	for v := program.VarID(s.Len() - 1); v >= 0; v-- {
+		if d := s.Spec(v).Dom; st.Get(v) < d.Max {
+			st.Set(v, st.Get(v)+1)
+			return true
+		}
+		st.Set(v, s.Spec(v).Dom.Min)
+	}
+	return false
+}
+
+// TestQuantifierUnrollKeepsReadsAndRuntimeChecks pins what unrolling a
+// quantifier leaves as it was: an index on the bound variable declares
+// its whole array (also over an empty range) and is bounds-checked when
+// evaluated, not at compile time. A range that would unroll past the
+// copy bound is refused at compile time.
+func TestQuantifierUnrollKeepsReadsAndRuntimeChecks(t *testing.T) {
+	m := mustLoad(t, `
+program unroll;
+var c[3] : 0..3;
+var d[2] : 0..3;
+var x : 0..3;
+invariant I : true;
+action probe convergence establishes I : false -> skip;
+action over closure : forall k in 0..3 : (c[k] = 0) -> x := 1;
+action empty closure : exists k in 3..2 : (d[k] = 9) -> x := 2;
+`)
+	over, empty := m.Program.Actions[1], m.Program.Actions[2]
+	c0, d0 := m.Schema.MustLookup("c[0]"), m.Schema.MustLookup("d[0]")
+	if want := []program.VarID{c0, c0 + 1, c0 + 2}; !slices.Equal(over.Reads, want) {
+		t.Errorf("over.Reads = %v, want all of c %v", over.Reads, want)
+	}
+	if want := []program.VarID{d0, d0 + 1}; !slices.Equal(empty.Reads, want) {
+		t.Errorf("empty.Reads = %v, want all of d %v", empty.Reads, want)
+	}
+	st := m.Schema.NewState()
+	if empty.Guard(st) {
+		t.Error("exists over an empty range holds")
+	}
+	st.Set(c0+1, 2)
+	if over.Guard(st) {
+		t.Error("forall holds with c[1] = 2")
+	}
+	st.Set(c0+1, 0)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index 3 out of range") {
+				t.Errorf("index 3 of c evaluated to panic %v, want out of range", r)
+			}
+		}()
+		over.Guard(st)
+	}()
+
+	// A copy folded to true is dropped, but the copies left still check
+	// their index when evaluated: only c[2] = 0 reaches c[3].
+	f := mustLoad(t, `
+program fold;
+var c[3] : 0..3;
+invariant I : true;
+action probe convergence establishes I : false -> skip;
+action g closure : forall k in 0..3 : (k < 2 || c[k] = 0) -> skip;
+`)
+	g, c2 := f.Program.Actions[1], f.Schema.MustLookup("c[2]")
+	st = f.Schema.NewState()
+	st.Set(c2, 1)
+	if g.Guard(st) {
+		t.Error("forall holds with c[2] = 1")
+	}
+	st.Set(c2, 0)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index 3 out of range") {
+				t.Errorf("index 3 of c evaluated to panic %v, want out of range", r)
+			}
+		}()
+		g.Guard(st)
+	}()
+
+	for _, src := range []string{
+		"forall k in 0..65536 : (x = 0)",
+		"forall i in 0..299 : (exists j in 0..299 : (i = j))",
+	} {
+		_, err := Load("program big;\nvar x : 0..3;\ninvariant I : " + src + ";\n")
+		if err == nil || !strings.Contains(err.Error(), "copies of its body") {
+			t.Errorf("%s: err = %v, want the unroll bound", src, err)
+		}
 	}
 }

@@ -9,17 +9,32 @@ type scope struct {
 	c *compiler
 	// params binds action/invariant parameters to their expansion values.
 	params map[string]int32
-	// quants maps quantifier variable names to stack depths.
-	quants []string
+	// quants binds the enclosing quantifier variables, outermost first,
+	// to the value of the body copy being compiled.
+	quants []quantBinding
+	// copies counts the quantifier body copies compiled so far.
+	copies int
 	// reads accumulates the variables the expression may read.
 	reads map[program.VarID]bool
 }
 
-func (s *scope) quantDepth(name string) (int, bool) {
+// quantBinding is one quantifier variable and its value in the body copy
+// being compiled.
+type quantBinding struct {
+	name string
+	val  int32
+}
+
+// maxQuantCopies bounds the quantifier body copies one expression
+// unrolls to, nested quantifiers multiplying, so that a short source with
+// a huge range is refused at compile time instead of exhausting memory.
+const maxQuantCopies = 1 << 16
+
+func (s *scope) quantValue(name string) (int32, bool) {
 	// Innermost binding wins.
 	for i := len(s.quants) - 1; i >= 0; i-- {
-		if s.quants[i] == name {
-			return i, true
+		if s.quants[i].name == name {
+			return s.quants[i].val, true
 		}
 	}
 	return 0, false
@@ -37,88 +52,132 @@ func (s *scope) addReadAll(sym *varSym) {
 	}
 }
 
-// compileExpr compiles an expression to a closure and its static type.
-func (s *scope) compileExpr(e Expr) (cexpr, typ, error) {
+// operand is a compiled expression with its static type. When konst is
+// set the expression is the constant v: evaluating it reads no state and
+// cannot panic, so whatever uses it folds it in at compile time, and it
+// gets a closure only where it is not folded (eval).
+type operand struct {
+	fn    cexpr
+	t     typ
+	konst bool
+	v     int32
+}
+
+// constant is the operand of a compile-time value.
+func constant(v int32, t typ) operand {
+	return operand{t: t, konst: true, v: v}
+}
+
+// eval returns the closure that evaluates o.
+func (o operand) eval() cexpr {
+	if !o.konst {
+		return o.fn
+	}
+	v := o.v
+	return func(*program.State) int32 { return v }
+}
+
+// compileExpr compiles an expression to an operand. Constant
+// sub-expressions are folded, but only where the fold leaves what the
+// expression reads at runtime, and when it panics, as they were: an
+// operator that fails on its constants, and an index out of range, still
+// fail when evaluated.
+func (s *scope) compileExpr(e Expr) (operand, error) {
 	switch n := e.(type) {
 	case *NumLit:
-		v := n.Val
-		return func(*program.State, []int32) int32 { return v }, typInt, nil
+		return constant(n.Val, typInt), nil
 
 	case *BoolLit:
-		v := int32(0)
-		if n.Val {
-			v = 1
-		}
-		return func(*program.State, []int32) int32 { return v }, typBool, nil
+		return constant(b2i(n.Val), typBool), nil
 
 	case *VarRef:
-		return s.compileVarRef(n, false)
+		return s.compileVarRef(n)
 
 	case *Unary:
-		x, xt, err := s.compileExpr(n.X)
+		x, err := s.compileExpr(n.X)
 		if err != nil {
-			return nil, 0, err
+			return operand{}, err
 		}
 		switch n.Op {
 		case tokNot:
-			if xt != typBool {
-				return nil, 0, errf(n.Pos, "operator ! needs a bool operand, got %s", xt)
+			if x.t != typBool {
+				return operand{}, errf(n.Pos, "operator ! needs a bool operand, got %s", x.t)
 			}
-			return func(st *program.State, q []int32) int32 {
-				if x(st, q) == 0 {
+			if x.konst {
+				return constant(b2i(x.v == 0), typBool), nil
+			}
+			x := x.eval()
+			return operand{fn: func(st *program.State) int32 {
+				if x(st) == 0 {
 					return 1
 				}
 				return 0
-			}, typBool, nil
+			}, t: typBool}, nil
 		case tokMinus:
-			if xt != typInt {
-				return nil, 0, errf(n.Pos, "unary - needs an int operand, got %s", xt)
+			if x.t != typInt {
+				return operand{}, errf(n.Pos, "unary - needs an int operand, got %s", x.t)
 			}
-			return func(st *program.State, q []int32) int32 { return -x(st, q) }, typInt, nil
+			if x.konst {
+				return constant(-x.v, typInt), nil
+			}
+			x := x.eval()
+			return operand{fn: func(st *program.State) int32 { return -x(st) }, t: typInt}, nil
 		default:
-			return nil, 0, errf(n.Pos, "unsupported unary operator")
+			return operand{}, errf(n.Pos, "unsupported unary operator")
 		}
 
 	case *Binary:
-		l, lt, err := s.compileExpr(n.L)
+		l, err := s.compileExpr(n.L)
 		if err != nil {
-			return nil, 0, err
+			return operand{}, err
 		}
-		r, rt, err := s.compileExpr(n.R)
+		r, err := s.compileExpr(n.R)
 		if err != nil {
-			return nil, 0, err
+			return operand{}, err
 		}
 		switch n.Op {
 		case tokAnd, tokOr:
-			if lt != typBool || rt != typBool {
-				return nil, 0, errf(n.Pos, "operator %s needs bool operands, got %s and %s", n.Op, lt, rt)
+			if l.t != typBool || r.t != typBool {
+				return operand{}, errf(n.Pos, "operator %s needs bool operands, got %s and %s", n.Op, l.t, r.t)
 			}
-			if n.Op == tokAnd {
-				return func(st *program.State, q []int32) int32 {
-					if l(st, q) == 0 {
+			// A constant left operand decides whether r is evaluated.
+			and := n.Op == tokAnd
+			if l.konst {
+				switch {
+				case and && l.v == 0:
+					return constant(0, typBool), nil
+				case !and && l.v != 0:
+					return constant(1, typBool), nil
+				}
+				return r, nil
+			}
+			l, r := l.eval(), r.eval()
+			if and {
+				return operand{fn: func(st *program.State) int32 {
+					if l(st) == 0 {
 						return 0
 					}
-					return r(st, q)
-				}, typBool, nil
+					return r(st)
+				}, t: typBool}, nil
 			}
-			return func(st *program.State, q []int32) int32 {
-				if l(st, q) != 0 {
+			return operand{fn: func(st *program.State) int32 {
+				if l(st) != 0 {
 					return 1
 				}
-				return r(st, q)
-			}, typBool, nil
+				return r(st)
+			}, t: typBool}, nil
 
 		case tokEq, tokNeq:
 			// Equality is typed but polymorphic: both sides must agree.
-			if lt != rt {
-				return nil, 0, errf(n.Pos, "operator %s compares %s with %s", n.Op, lt, rt)
+			if l.t != r.t {
+				return operand{}, errf(n.Pos, "operator %s compares %s with %s", n.Op, l.t, r.t)
 			}
 		case tokLt, tokLe, tokGt, tokGe, tokPlus, tokMinus, tokStar, tokSlash, tokMod:
-			if lt != typInt || rt != typInt {
-				return nil, 0, errf(n.Pos, "operator %s needs int operands, got %s and %s", n.Op, lt, rt)
+			if l.t != typInt || r.t != typInt {
+				return operand{}, errf(n.Pos, "operator %s needs int operands, got %s and %s", n.Op, l.t, r.t)
 			}
 		default:
-			return nil, 0, errf(n.Pos, "unsupported operator")
+			return operand{}, errf(n.Pos, "unsupported operator")
 		}
 		op := n.Op
 		pos := n.Pos
@@ -127,190 +186,234 @@ func (s *scope) compileExpr(e Expr) (cexpr, typ, error) {
 		case tokPlus, tokMinus, tokStar, tokSlash, tokMod:
 			outType = typInt
 		}
-		return func(st *program.State, q []int32) int32 {
-			v, err := applyBinary(pos, op, l(st, q), r(st, q))
+		if l.konst && r.konst {
+			if v, err := applyBinary(pos, op, l.v, r.v); err == nil {
+				return constant(v, outType), nil
+			}
+		}
+		lf, rf := l.eval(), r.eval()
+		return operand{fn: func(st *program.State) int32 {
+			v, err := applyBinary(pos, op, lf(st), rf(st))
 			if err != nil {
 				panic(err)
 			}
 			return v
-		}, outType, nil
+		}, t: outType}, nil
 
 	case *Quant:
-		lo, err := s.c.constEval(n.Lo, s.params)
-		if err != nil {
-			return nil, 0, err
-		}
-		hi, err := s.c.constEval(n.Hi, s.params)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, shadow := s.quantDepth(n.Param); shadow {
-			return nil, 0, errf(n.Pos, "quantifier variable %q shadows an outer quantifier", n.Param)
-		}
-		if _, shadow := s.params[n.Param]; shadow {
-			return nil, 0, errf(n.Pos, "quantifier variable %q shadows a parameter", n.Param)
-		}
-		s.quants = append(s.quants, n.Param)
-		body, bt, err := s.compileExpr(n.Body)
-		s.quants = s.quants[:len(s.quants)-1]
-		if err != nil {
-			return nil, 0, err
-		}
-		if bt != typBool {
-			return nil, 0, errf(n.Pos, "quantifier body must be bool, got %s", bt)
-		}
-		forAll := n.ForAll
-		return func(st *program.State, q []int32) int32 {
-			q = append(q, 0)
-			for v := lo; v <= hi; v++ {
-				q[len(q)-1] = v
-				b := body(st, q) != 0
-				if forAll && !b {
-					return 0
-				}
-				if !forAll && b {
-					return 1
-				}
-			}
-			if forAll {
-				return 1
-			}
-			return 0
-		}, typBool, nil
+		return s.compileQuant(n)
 	}
-	return nil, 0, errf(e.pos(), "unsupported expression")
+	return operand{}, errf(e.pos(), "unsupported expression")
 }
 
-// compileVarRef resolves a name reference. When write is true the name must
-// be a program variable with a parameter-constant index, and the resolved
-// variable ID is returned via the second closure mechanism (see
-// resolveLValue).
-func (s *scope) compileVarRef(n *VarRef, write bool) (cexpr, typ, error) {
-	// Quantifier variable?
-	if depth, ok := s.quantDepth(n.Name); ok {
-		if n.Index != nil {
-			return nil, 0, errf(n.Pos, "quantifier variable %q is not an array", n.Name)
+// compileQuant unrolls a quantifier, whose bounds are constant: the body
+// is compiled once per value of the bound variable, which each copy reads
+// as a constant. An empty range still compiles it once, so its types are
+// checked and its reads declared. A constant copy that cannot decide the
+// quantifier is dropped, and one that decides it ends the unrolled list.
+func (s *scope) compileQuant(n *Quant) (operand, error) {
+	lo, err := s.c.constEval(n.Lo, s.params)
+	if err != nil {
+		return operand{}, err
+	}
+	hi, err := s.c.constEval(n.Hi, s.params)
+	if err != nil {
+		return operand{}, err
+	}
+	if _, shadow := s.quantValue(n.Param); shadow {
+		return operand{}, errf(n.Pos, "quantifier variable %q shadows an outer quantifier", n.Param)
+	}
+	if _, shadow := s.params[n.Param]; shadow {
+		return operand{}, errf(n.Pos, "quantifier variable %q shadows a parameter", n.Param)
+	}
+	count := max(int64(hi)-int64(lo)+1, 0)
+	if s.copies += int(max(count, 1)); s.copies > maxQuantCopies {
+		return operand{}, errf(n.Pos, "quantifier over %d..%d unrolls the expression past %d copies of its body", lo, hi, maxQuantCopies)
+	}
+	// forall stops at the first false copy, exists at the first true one;
+	// a quantifier that does not stop is the other value.
+	forAll := n.ForAll
+	result, decided := b2i(forAll), false
+	var bodies []cexpr
+	for v := int64(lo); v <= max(int64(hi), int64(lo)); v++ {
+		s.quants = append(s.quants, quantBinding{n.Param, int32(v)})
+		body, err := s.compileExpr(n.Body)
+		s.quants = s.quants[:len(s.quants)-1]
+		if err != nil {
+			return operand{}, err
 		}
-		return func(_ *program.State, q []int32) int32 { return q[depth] }, typInt, nil
+		if body.t != typBool {
+			return operand{}, errf(n.Pos, "quantifier body must be bool, got %s", body.t)
+		}
+		switch {
+		case v-int64(lo) >= count || decided:
+			// The empty range's type-checking copy, or one past the
+			// copy that decides the quantifier: never evaluated.
+		case !body.konst:
+			bodies = append(bodies, body.eval())
+		case (body.v != 0) != forAll:
+			result, decided = b2i(!forAll), true
+		}
+	}
+	if len(bodies) == 0 {
+		return constant(result, typBool), nil
+	}
+	return operand{fn: func(st *program.State) int32 {
+		for _, body := range bodies {
+			if (body(st) != 0) != forAll {
+				return b2i(!forAll)
+			}
+		}
+		return result
+	}, t: typBool}, nil
+}
+
+// b2i is a bool as a GCL value.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// compileVarRef resolves a name reference.
+func (s *scope) compileVarRef(n *VarRef) (operand, error) {
+	// Quantifier variable?
+	if v, ok := s.quantValue(n.Name); ok {
+		if n.Index != nil {
+			return operand{}, errf(n.Pos, "quantifier variable %q is not an array", n.Name)
+		}
+		return constant(v, typInt), nil
 	}
 	// Action/invariant parameter?
 	if v, ok := s.params[n.Name]; ok {
 		if n.Index != nil {
-			return nil, 0, errf(n.Pos, "parameter %q is not an array", n.Name)
+			return operand{}, errf(n.Pos, "parameter %q is not an array", n.Name)
 		}
-		return func(*program.State, []int32) int32 { return v }, typInt, nil
+		return constant(v, typInt), nil
 	}
 	// Scalar constant or enum label?
 	if v, ok := s.c.consts[n.Name]; ok && n.Index == nil {
-		return func(*program.State, []int32) int32 { return v }, typInt, nil
+		return constant(v, typInt), nil
 	}
 	if v, ok := s.c.enums[n.Name]; ok && n.Index == nil {
-		return func(*program.State, []int32) int32 { return v }, typInt, nil
+		return constant(v, typInt), nil
 	}
 	// Constant array?
 	if arr, ok := s.c.arrays[n.Name]; ok {
 		if n.Index == nil {
-			return nil, 0, errf(n.Pos, "constant array %q used without index", n.Name)
+			return operand{}, errf(n.Pos, "constant array %q used without index", n.Name)
 		}
 		idx, constIdx, err := s.compileIndex(n, len(arr))
 		if err != nil {
-			return nil, 0, err
+			return operand{}, err
 		}
 		if constIdx >= 0 {
-			v := arr[constIdx]
-			return func(*program.State, []int32) int32 { return v }, typInt, nil
+			return constant(arr[constIdx], typInt), nil
+		}
+		if idx.konst && idx.v >= 0 && int(idx.v) < len(arr) {
+			return constant(arr[idx.v], typInt), nil
 		}
 		pos := n.Pos
 		name := n.Name
 		length := len(arr)
-		return func(st *program.State, q []int32) int32 {
-			i := idx(st, q)
+		at := idx.eval()
+		return operand{fn: func(st *program.State) int32 {
+			i := at(st)
 			if i < 0 || int(i) >= length {
 				panic(errf(pos, "index %d out of range for %q (length %d)", i, name, length))
 			}
 			return arr[i]
-		}, typInt, nil
+		}, t: typInt}, nil
 	}
 	// Program variable.
 	sym, ok := s.c.vars[n.Name]
 	if !ok {
-		return nil, 0, errf(n.Pos, "undefined name %q", n.Name)
+		return operand{}, errf(n.Pos, "undefined name %q", n.Name)
 	}
 	t := typInt
 	if sym.dom.Kind == program.KindBool {
 		t = typBool
 	}
+	get := func(id program.VarID) operand {
+		return operand{fn: func(st *program.State) int32 { return st.Get(id) }, t: t}
+	}
 	if sym.size < 0 {
 		if n.Index != nil {
-			return nil, 0, errf(n.Pos, "variable %q is not an array", n.Name)
+			return operand{}, errf(n.Pos, "variable %q is not an array", n.Name)
 		}
-		id := sym.base
-		s.addRead(id)
-		return func(st *program.State, _ []int32) int32 { return st.Get(id) }, t, nil
+		s.addRead(sym.base)
+		return get(sym.base), nil
 	}
 	if n.Index == nil {
-		return nil, 0, errf(n.Pos, "array %q used without index", n.Name)
+		return operand{}, errf(n.Pos, "array %q used without index", n.Name)
 	}
 	idx, constIdx, err := s.compileIndex(n, sym.size)
 	if err != nil {
-		return nil, 0, err
+		return operand{}, err
 	}
 	if constIdx >= 0 {
 		id := sym.base + program.VarID(constIdx)
 		s.addRead(id)
-		return func(st *program.State, _ []int32) int32 { return st.Get(id) }, t, nil
+		return get(id), nil
 	}
-	// Dynamic index: conservatively reads the whole array.
+	// Dynamic index: conservatively reads the whole array, also when a
+	// quantifier copy makes it constant.
 	s.addReadAll(sym)
+	if idx.konst && idx.v >= 0 && int(idx.v) < sym.size {
+		return get(sym.base + program.VarID(idx.v)), nil
+	}
 	base := sym.base
 	size := sym.size
 	pos := n.Pos
 	name := n.Name
-	return func(st *program.State, q []int32) int32 {
-		i := idx(st, q)
+	at := idx.eval()
+	return operand{fn: func(st *program.State) int32 {
+		i := at(st)
 		if i < 0 || int(i) >= size {
 			panic(errf(pos, "index %d out of range for %q (length %d)", i, name, size))
 		}
 		return st.Get(base + program.VarID(i))
-	}, t, nil
+	}, t: t}, nil
 }
 
 // compileIndex compiles an index expression; when the index is constant
 // under the current parameters (no quantifier variables or program state),
 // its value is returned as constIdx >= 0 and validated against length.
-func (s *scope) compileIndex(n *VarRef, length int) (idx cexpr, constIdx int32, err error) {
+func (s *scope) compileIndex(n *VarRef, length int) (idx operand, constIdx int32, err error) {
 	if v, cerr := s.c.constEval(n.Index, s.params); cerr == nil {
 		if v < 0 || int(v) >= length {
-			return nil, 0, errf(n.Pos, "index %d out of range for %q (length %d)", v, n.Name, length)
+			return operand{}, 0, errf(n.Pos, "index %d out of range for %q (length %d)", v, n.Name, length)
 		}
-		return nil, v, nil
+		return operand{}, v, nil
 	}
-	e, t, err := s.compileExpr(n.Index)
+	idx, err = s.compileExpr(n.Index)
 	if err != nil {
-		return nil, 0, err
+		return operand{}, 0, err
 	}
-	if t != typInt {
-		return nil, 0, errf(n.Pos, "index must be int, got %s", t)
+	if idx.t != typInt {
+		return operand{}, 0, errf(n.Pos, "index must be int, got %s", idx.t)
 	}
-	return e, -1, nil
+	return idx, -1, nil
 }
 
 // compilePredicate compiles a boolean expression into a named predicate.
 func (c *compiler) compilePredicate(name string, e Expr, params map[string]int32) (*program.Predicate, error) {
 	s := &scope{c: c, params: params, reads: map[program.VarID]bool{}}
-	body, t, err := s.compileExpr(e)
+	body, err := s.compileExpr(e)
 	if err != nil {
 		return nil, err
 	}
-	if t != typBool {
-		return nil, errf(e.pos(), "predicate %q must be bool, got %s", name, t)
+	if body.t != typBool {
+		return nil, errf(e.pos(), "predicate %q must be bool, got %s", name, body.t)
 	}
 	vars := make([]program.VarID, 0, len(s.reads))
 	for id := range s.reads {
 		vars = append(vars, id)
 	}
+	eval := body.eval()
 	return program.NewPredicate(name, vars, func(st *program.State) bool {
-		return body(st, nil) != 0
+		return eval(st) != 0
 	}), nil
 }
 
@@ -344,12 +447,12 @@ func (s *scope) resolveLValue(n *VarRef) (program.VarID, error) {
 func (c *compiler) compileAction(name string, kind program.ActionKind,
 	d *ActionDecl, params map[string]int32) (*program.Action, error) {
 	gs := &scope{c: c, params: params, reads: map[program.VarID]bool{}}
-	guard, gt, err := gs.compileExpr(d.Guard)
+	guard, err := gs.compileExpr(d.Guard)
 	if err != nil {
 		return nil, err
 	}
-	if gt != typBool {
-		return nil, errf(d.Guard.pos(), "guard of %q must be bool, got %s", name, gt)
+	if guard.t != typBool {
+		return nil, errf(d.Guard.pos(), "guard of %q must be bool, got %s", name, guard.t)
 	}
 
 	bs := &scope{c: c, params: params, reads: map[program.VarID]bool{}}
@@ -366,18 +469,18 @@ func (c *compiler) compileAction(name string, kind program.ActionKind,
 			}
 		}
 		targets = append(targets, id)
-		e, et, err := bs.compileExpr(d.RHS[i])
+		e, err := bs.compileExpr(d.RHS[i])
 		if err != nil {
 			return nil, err
 		}
 		wantBool := c.schema.Spec(id).Dom.Kind == program.KindBool
-		if wantBool && et != typBool {
-			return nil, errf(d.RHS[i].pos(), "assigning %s to bool variable in %q", et, name)
+		if wantBool && e.t != typBool {
+			return nil, errf(d.RHS[i].pos(), "assigning %s to bool variable in %q", e.t, name)
 		}
-		if !wantBool && et == typBool {
+		if !wantBool && e.t == typBool {
 			return nil, errf(d.RHS[i].pos(), "assigning bool to int variable in %q", name)
 		}
-		rhs = append(rhs, e)
+		rhs = append(rhs, e.eval())
 	}
 
 	reads := map[program.VarID]bool{}
@@ -399,13 +502,14 @@ func (c *compiler) compileAction(name string, kind program.ActionKind,
 		var buf [16]int32
 		vals := buf[:0]
 		for _, e := range rhs {
-			vals = append(vals, e(st, nil))
+			vals = append(vals, e(st))
 		}
 		for i, id := range targets {
 			st.Set(id, vals[i])
 		}
 	}
+	enabled := guard.eval()
 	return program.NewAction(name, kind, readList, writeList,
-		func(st *program.State) bool { return guard(st, nil) != 0 },
+		func(st *program.State) bool { return enabled(st) != 0 },
 		body), nil
 }

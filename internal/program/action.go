@@ -41,12 +41,15 @@ func (k ActionKind) String() string {
 //
 // Honest footprints are what make constraint graphs (paper Section 4)
 // meaningful, and the model checker (internal/verify) builds its successor
-// index from them. It trusts Reads: a guard is re-evaluated only when a
-// variable in Reads changes (every state when Reads is empty), with a
-// fresh spot check once per sweep chunk. It verifies Writes: each
-// successor is encoded from the changes to Writes, and a body that
-// assigns anything else is caught and the space refused. AuditAction
-// checks both dynamically on random states.
+// index from them. It trusts Reads, for guards and bodies alike: an
+// action's guard is re-evaluated, and its successor re-encoded, only when
+// a variable of its footprint (Reads and Writes) changes, at every state
+// when Reads is empty; in between, its successor is the same index delta
+// from each state. A fresh evaluation of every guard and every enabled
+// successor once per sweep chunk spot-checks that trust. It checks Writes
+// wherever a body runs: each successor is encoded from the changes to
+// Writes, and a body that assigns anything else there is caught and the
+// space refused. AuditAction checks both dynamically on random states.
 type Action struct {
 	Name  string
 	Kind  ActionKind
@@ -58,8 +61,8 @@ type Action struct {
 }
 
 // NewAction builds an action with a canonicalized footprint. The checker
-// trusts reads and verifies writes (see Action): a guard that reads a
-// variable missing from reads can be evaluated on stale values, and is
+// trusts reads and checks writes (see Action): a guard or body that reads
+// a variable missing from reads can be evaluated on stale values, and is
 // caught only by a spot check.
 func NewAction(name string, kind ActionKind, reads, writes []VarID,
 	guard func(*State) bool, body func(*State)) *Action {

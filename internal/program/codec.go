@@ -105,6 +105,12 @@ func (c *Codec) Next(st *State) int {
 // The encode therefore trusts Writes: st is state i again afterwards
 // unless the body changed a variable outside them, which callers check
 // with one Encode per state rather than one per successor.
+//
+// The delta (the result minus i) depends on nothing but the variables of
+// a's footprint when its Reads are honest, so a sweep may keep it and
+// rerun Successor only at states whose step changed one of them, as the
+// checker's successor index does; it trusts Reads for bodies as well as
+// guards, and spot-checks the kept deltas once per sweep chunk.
 func (c *Codec) Successor(a *Action, st *State, i int64, save []int32) int64 {
 	vals := st.vals
 	for k, w := range a.Writes {

@@ -135,7 +135,21 @@ func (s *Schema) StateCount() (count int64, ok bool) {
 
 // NewState returns a state with every variable at the minimum of its domain.
 func (s *Schema) NewState() *State {
-	st := &State{schema: s, vals: make([]int32, len(s.specs))}
+	return s.newState(0)
+}
+
+// NewScratchState is NewState for one worker of a sharded loop that
+// writes the state at every step: its values are followed by a cache
+// line of unused capacity, so two workers' scratch states never share a
+// cache line.
+func (s *Schema) NewScratchState() *State {
+	return s.newState(64 / 4)
+}
+
+// newState returns the all-minimum state with pad values of spare
+// capacity behind its values.
+func (s *Schema) newState(pad int) *State {
+	st := &State{schema: s, vals: make([]int32, len(s.specs), len(s.specs)+pad)}
 	for i, sp := range s.specs {
 		st.vals[i] = sp.Dom.Min
 	}

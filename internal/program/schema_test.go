@@ -141,6 +141,22 @@ func TestNewStateAtDomainMin(t *testing.T) {
 	}
 }
 
+// TestNewScratchStatePadsACacheLine checks that a scratch state is the
+// all-minimum state of NewState with a cache line of spare capacity
+// behind its values.
+func TestNewScratchStatePadsACacheLine(t *testing.T) {
+	s := NewSchema()
+	s.MustDeclare("a", IntRange(3, 9))
+	s.MustDeclare("b", Enum("g", "r"))
+	st := s.NewScratchState()
+	if !st.Equal(s.NewState()) {
+		t.Errorf("scratch state %s, want %s", st, s.NewState())
+	}
+	if spare := 4 * (cap(st.vals) - len(st.vals)); spare < 64 {
+		t.Errorf("scratch state has %d spare bytes, want a 64-byte cache line", spare)
+	}
+}
+
 func TestSortVarIDs(t *testing.T) {
 	tests := []struct {
 		in, want []VarID

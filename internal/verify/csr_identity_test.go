@@ -96,11 +96,13 @@ func footprintSchema() (*program.Schema, []program.VarID) {
 }
 
 // footprintModel is an honest program over footprintSchema with the
-// cases the sweeps' guard memo and write-local encoder special-case: an
-// action with no reads, one that reads only variable 0 (its guard changes
-// every 10,395 states, never at a chunk boundary), a three-write
-// parallel assignment with a write it never reads, and one that reads
-// the last variable.
+// cases the sweeps' successor memo and write-local encoder special-case:
+// an action with no reads, one that reads only variable 0 (its guard
+// changes every 10,395 states, never at a chunk boundary), a three-write
+// parallel assignment with a write it never reads, one that reads the
+// last variable, and one that reads only variable 0 but writes variable
+// 3 without reading it, so a successor delta re-encoded on changes to
+// its Reads alone would go stale whenever variable 3 steps.
 func footprintModel() csrModel {
 	s, x := footprintSchema()
 	ids := func(v ...program.VarID) []program.VarID { return v }
@@ -122,6 +124,9 @@ func footprintModel() csrModel {
 		program.NewAction("drain", program.Convergence, ids(x[2], x[4]), ids(x[4]),
 			func(st *program.State) bool { return st.Get(x[4]) > st.Get(x[2]) },
 			func(st *program.State) { st.Set(x[4], st.Get(x[4])-1) }),
+		program.NewAction("copy", program.Convergence, ids(x[0]), ids(x[3]),
+			func(st *program.State) bool { return st.Get(x[0]) != 1 },
+			func(st *program.State) { st.Set(x[3], st.Get(x[0])) }),
 	)
 	S := program.NewPredicate("odd", ids(x[0]), func(st *program.State) bool { return st.Get(x[0])%2 == 1 })
 	return csrModel{p, S, program.True()}
@@ -166,11 +171,13 @@ func TestForwardCSRMatchesReferenceEncoder(t *testing.T) {
 	}
 }
 
-// dishonestActions returns two actions over footprintSchema whose
+// dishonestActions returns three actions over footprintSchema whose
 // footprints lie, each with the declared set it lies about: a body that
-// writes a variable outside Writes, and a guard that reads one outside
-// Reads, positioned after its declared reads so the sweeps' guard memo
-// never re-evaluates it for that variable's changes.
+// writes a variable outside Writes, a guard that reads one outside
+// Reads, and a body that reads one outside Reads behind an honest guard.
+// Both undeclared reads are of the last variable, after the declared
+// ones, so the sweeps' successor memo never re-evaluates the guard or
+// re-encodes the successor for that variable's changes.
 func dishonestActions() map[*program.Action]string {
 	_, x := footprintSchema()
 	ids := func(v ...program.VarID) []program.VarID { return v }
@@ -184,11 +191,14 @@ func dishonestActions() map[*program.Action]string {
 		program.NewAction("peek", program.Convergence, ids(x[0]), ids(x[0]),
 			func(st *program.State) bool { return st.Get(x[0]) < 5 && st.Get(x[4])%2 == 0 },
 			func(st *program.State) { st.Set(x[0], st.Get(x[0])+1) }): "Reads",
+		program.NewAction("skim", program.Convergence, ids(x[0]), ids(x[0]),
+			func(st *program.State) bool { return st.Get(x[0]) < 4 },
+			func(st *program.State) { st.Set(x[0], st.Get(x[0])+1+st.Get(x[4])%2) }): "Reads",
 	}
 }
 
-// TestNewSpaceRefusesDishonestFootprints checks that both dishonest
-// actions are refused on every tier and worker count, with an error
+// TestNewSpaceRefusesDishonestFootprints checks that every dishonest
+// action is refused on every tier and worker count, with an error
 // naming the action and the declared set it lies about, rather than
 // yielding a wrong CSR.
 func TestNewSpaceRefusesDishonestFootprints(t *testing.T) {

@@ -116,9 +116,9 @@ func nextValuation(s *program.Schema, reads []program.VarID, st *program.State) 
 	return false
 }
 
-// TestFootprintAuditCatchesDishonestActions runs the audit on the two
+// TestFootprintAuditCatchesDishonestActions runs the audit on the
 // dishonest actions the space constructor must refuse: it has to flag
-// both, or its silence on the shipped programs would prove nothing.
+// each, or its silence on the shipped programs would prove nothing.
 func TestFootprintAuditCatchesDishonestActions(t *testing.T) {
 	s, _ := footprintSchema()
 	for a := range dishonestActions() {

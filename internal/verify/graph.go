@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nonmask/internal/program"
 )
@@ -91,15 +94,18 @@ func (g *succIndex) fwdBytes() int64 {
 // the arrays are allocated as mmap'd segment files, filled, and sealed
 // read-only.
 //
-// Both sweeps work from the actions' footprints. A guardMemo re-evaluates
-// only the guards whose declared reads an odometer step changed, and
-// outside quotient mode each successor is encoded from the action's
-// declared writes alone (Codec.Successor), on the walked state itself.
-// Neither footprint is taken on faith: the counting sweep compares the
-// memo with a fresh evaluation of every guard at each chunk's last state,
-// and the fill sweep re-encodes the walked state once per state to prove
-// the bodies touched nothing but their writes. A failed check refuses the
-// space with an error naming the action.
+// Both sweeps work from the actions' footprints through a per-worker
+// succMemo: after an odometer step only the actions whose footprint the
+// step changed have their guard re-evaluated and, in the fill sweep
+// outside quotient mode, their successor re-encoded from their declared
+// writes (Codec.Successor) as an index delta. Every other enabled
+// action's edge is the state's index plus its memoized delta. Neither
+// footprint is taken on faith: at each chunk's last state the counting
+// sweep compares every memoized guard, and the fill sweep every memoized
+// successor, with a fresh evaluation, and the fill sweep re-encodes the
+// walked state at every state where a body ran to prove the bodies
+// touched nothing but their writes. A failed check refuses the space with
+// an error naming the action.
 func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	f, err := newFootprints(sp.P)
 	if err != nil {
@@ -112,29 +118,29 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	nChunks := (sp.Count + chunkStates - 1) / chunkStates
 	chunkBase := make([]int64, nChunks)
 	pairs := sp.newStatePairs()
-	memos := make([]guardMemo, workers)
+	memos := make([]*succMemo, workers)
 	for w := range memos {
-		memos[w].on = make([]bool, sp.nA)
+		memos[w] = newSuccMemo(f)
 	}
-	stale := newWitness()
+	staleGuard := newWitness()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st, m := pairs[worker].st, &memos[worker]
-		var n int64
+		st, m := pairs[worker].st, memos[worker]
+		m.clear()
+		var enabled, n int64
 		for i := lo; i < hi; i++ {
-			m.advance(f, st, sp.walkInto(lo, i, st))
-			n += m.n
+			enabled += m.advance(f, st, sp.walkInto(lo, i, st))
+			n += enabled
 		}
-		if a := m.stale(f, st); a >= 0 {
-			stale.offer(hi-1, int64(a))
+		if a := m.staleGuard(f, st); a >= 0 {
+			staleGuard.offer(hi-1, int64(a))
 		}
 		chunkBase[lo/chunkStates] = n
 	})
 	if err != nil {
 		return err
 	}
-	if stale.found() {
-		return fmt.Errorf("verify: action %q of %q reads a variable outside its declared Reads: its guard at %s disagrees with the value memoized from them",
-			sp.P.Actions[stale.extra].Name, sp.P.Name, sp.State(stale.state))
+	if staleGuard.found() {
+		return sp.undeclaredRead(staleGuard, "guard")
 	}
 	var total int64
 	for c := range chunkBase {
@@ -165,40 +171,42 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	} else {
 		g.offsets, g.edges = make([]uint32, sp.Count+1), make([]int32, total)
 	}
-	saves := make([][]int32, workers)
-	for w := range saves {
-		saves[w] = make([]int32, f.maxWrites)
-	}
-	unrestored := newWitness()
+	unrestored, staleSucc := newWitness(), newWitness()
 	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st, tmp, m, save := pairs[worker].st, pairs[worker].tmp, &memos[worker], saves[worker]
+		st, tmp, m := pairs[worker].st, pairs[worker].tmp, memos[worker]
 		cur := chunkBase[lo/chunkStates]
-		for i := lo; i < hi; i++ {
-			m.advance(f, st, sp.walkInto(lo, i, st))
-			g.offsets[i] = uint32(cur)
-			if sp.quot != nil {
-				// Representatives are decoded, not walked, and every
-				// successor is canonicalized from a full copy.
-				for a, on := range m.on {
-					if on {
-						f.acts[a].ApplyInto(st, tmp)
+		if sp.quot != nil {
+			// Representatives are decoded, not walked, and every
+			// successor is canonicalized from a full copy.
+			for i := lo; i < hi; i++ {
+				sp.stateInto(i, st)
+				m.advance(f, st, 0)
+				g.offsets[i] = uint32(cur)
+				for w, word := range m.on {
+					for ; word != 0; word &= word - 1 {
+						f.acts[w<<6|bits.TrailingZeros64(word)].ApplyInto(st, tmp)
 						g.edges[cur] = int32(sp.indexOf(tmp))
 						cur++
 					}
 				}
-				continue
 			}
-			for a, on := range m.on {
-				if on {
-					g.edges[cur] = int32(sp.codec.Successor(f.acts[a], st, i, save))
-					cur++
-				}
-			}
-			if m.n > 0 && sp.codec.Encode(st) != i {
+			return
+		}
+		for i := lo; i < hi; i++ {
+			ran := m.fill(f, sp.codec, st, i, sweepInto(sp.codec, lo, i, st))
+			g.offsets[i] = uint32(cur)
+			cur += m.emit(i, g.edges[cur:])
+			if ran && sp.codec.Encode(st) != i {
 				// The walk is off its index; the rest of the chunk is lost.
 				unrestored.offer(i, 0)
 				return
 			}
+		}
+		if a := m.staleSucc(f, sp.codec, st, hi-1); a >= 0 {
+			staleSucc.offer(hi-1, int64(a))
+		}
+		if sp.codec.Encode(st) != hi-1 {
+			unrestored.offer(hi-1, 0)
 		}
 	})
 	if err != nil {
@@ -206,6 +214,9 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 	}
 	if unrestored.found() {
 		return sp.undeclaredWrite(f, unrestored.state)
+	}
+	if staleSucc.found() {
+		return sp.undeclaredRead(staleSucc, "successor")
 	}
 	g.offsets[sp.Count] = uint32(total)
 	sp.idx = g
@@ -217,12 +228,14 @@ func (sp *Space) buildSuccIndex(ctx context.Context) error {
 }
 
 // footprints is buildSuccIndex's plan of a program's declared reads and
-// writes. byTop lists the action ids by their highest declared read,
-// descending, and upTo[v] counts those whose highest read is ≥ v: an
-// odometer step that changed positions [v, n) can flip exactly the first
-// upTo[v] guards. An action with no declared reads counts as reading the
-// last variable, so its guard is evaluated at every state. maxWrites
-// sizes each worker's Codec.Successor save buffer.
+// writes. byTop lists the action ids by their highest footprint variable
+// (Reads ∪ Writes), descending, and upTo[v] counts those whose highest
+// one is ≥ v: an odometer step that changed positions [v, n) can change
+// the guard or the successor delta of exactly the first upTo[v] actions.
+// Writes count because a delta depends on the old value of every write,
+// read or not. An action with no declared reads counts as reading the
+// last variable, so it is evaluated at every state. maxWrites sizes each
+// worker's Codec.Successor save buffer.
 type footprints struct {
 	acts      []*program.Action
 	byTop     []int32
@@ -242,10 +255,11 @@ func newFootprints(p *program.Program) (*footprints, error) {
 	top := make([]int, len(p.Actions))
 	for a, act := range p.Actions {
 		top[a] = max(n-1, 0)
+		fp := act.Footprint()
 		if len(act.Reads) > 0 {
-			top[a] = int(slices.Max(act.Reads))
+			top[a] = int(slices.Max(fp))
 		}
-		for _, id := range act.Footprint() {
+		for _, id := range fp {
 			if id < 0 || int(id) >= n {
 				return nil, fmt.Errorf("verify: action %q of %q names undeclared variable %d", act.Name, p.Name, id)
 			}
@@ -260,39 +274,136 @@ func newFootprints(p *program.Program) (*footprints, error) {
 	return f, nil
 }
 
-// guardMemo is one worker's memo of every guard along an ascending sweep:
-// on[a] is action a's guard at the current state and n counts the true
-// entries. It trusts the declared reads (see footprints); stale is the
-// spot check of that trust.
-type guardMemo struct {
-	on []bool
-	n  int64
+// succMemo is one worker's memo of every action along an ascending sweep:
+// bit a of on is action a's guard at the current state and, while it is
+// set, delta[a] is the action's successor index minus the state's (kept
+// by the fill sweep only). It trusts the declared footprints (see
+// footprints); staleGuard and staleSucc are the spot checks of that
+// trust. Each worker's arrays are allocated with a cache line of unused
+// capacity behind them (workerScratch), so two workers' memos never
+// share a cache line.
+type succMemo struct {
+	on    []uint64
+	delta []int64
+	save  []int32 // Codec.Successor's buffer for the declared writes
 }
 
-// advance brings the memo to st after a step that changed positions
-// [v, n) — v = 0 for a decoded state re-evaluates every guard.
-func (m *guardMemo) advance(f *footprints, st *program.State, v int) {
-	for _, a := range f.byTop[:f.upTo[v]] {
-		if g := f.acts[a].Guard(st); g != m.on[a] {
-			m.on[a] = g
-			if g {
-				m.n++
-			} else {
-				m.n--
-			}
-		}
+func newSuccMemo(f *footprints) *succMemo {
+	return &succMemo{
+		on:    workerScratch[uint64]((len(f.acts) + 63) / 64),
+		delta: workerScratch[int64](len(f.acts)),
+		save:  workerScratch[int32](f.maxWrites),
 	}
 }
 
-// stale returns the first action whose memoized guard differs from a
-// fresh evaluation at st, or -1.
-func (m *guardMemo) stale(f *footprints, st *program.State) int {
+// clear drops every memoized guard, for a chunk whose first state
+// re-evaluates them all.
+func (m *succMemo) clear() { clear(m.on) }
+
+// set records action a's guard g and returns the change it makes to the
+// number of enabled actions.
+func (m *succMemo) set(a int32, g bool) int64 {
+	w, bit := a>>6, uint64(1)<<(a&63)
+	was := m.on[w]&bit != 0
+	switch {
+	case g == was:
+		return 0
+	case g:
+		m.on[w] |= bit
+		return 1
+	default:
+		m.on[w] &^= bit
+		return -1
+	}
+}
+
+// advance brings the memo's guards to st after a step that changed
+// positions [v, n) — v = 0 for a decoded state re-evaluates every guard —
+// and returns the change in the number of enabled actions.
+func (m *succMemo) advance(f *footprints, st *program.State, v int) (dn int64) {
+	for _, a := range f.byTop[:f.upTo[v]] {
+		dn += m.set(a, f.acts[a].Guard(st))
+	}
+	return dn
+}
+
+// fill is advance for the fill sweep at full index i: each action whose
+// footprint the step changed also has its successor delta re-encoded
+// when its guard holds. It reports whether any body ran.
+func (m *succMemo) fill(f *footprints, c *program.Codec, st *program.State, i int64, v int) (ran bool) {
+	for _, a := range f.byTop[:f.upTo[v]] {
+		act := f.acts[a]
+		g := act.Guard(st)
+		m.set(a, g)
+		if g {
+			m.delta[a] = c.Successor(act, st, i, m.save) - i
+			ran = true
+		}
+	}
+	return ran
+}
+
+// emit writes the successor of state i for every enabled action, in
+// ascending action order, to dst and returns how many it wrote.
+func (m *succMemo) emit(i int64, dst []int32) int64 {
+	k := 0
+	for w, word := range m.on {
+		for ; word != 0; word &= word - 1 {
+			dst[k] = int32(i + m.delta[w<<6|bits.TrailingZeros64(word)])
+			k++
+		}
+	}
+	return int64(k)
+}
+
+// staleGuard returns the first action whose memoized guard differs from
+// a fresh evaluation at st, or -1.
+func (m *succMemo) staleGuard(f *footprints, st *program.State) int {
 	for a, act := range f.acts {
-		if act.Guard(st) != m.on[a] {
+		if act.Guard(st) != (m.on[a>>6]&(1<<(a&63)) != 0) {
 			return a
 		}
 	}
 	return -1
+}
+
+// staleSucc returns the first enabled action whose memoized successor
+// differs from a fresh Codec.Successor at st, full index i, or -1.
+func (m *succMemo) staleSucc(f *footprints, c *program.Codec, st *program.State, i int64) int {
+	for w, word := range m.on {
+		for ; word != 0; word &= word - 1 {
+			a := w<<6 | bits.TrailingZeros64(word)
+			if c.Successor(f.acts[a], st, i, m.save) != i+m.delta[a] {
+				return a
+			}
+		}
+	}
+	return -1
+}
+
+// workerScratch returns n zeroed elements for one worker's hot writes,
+// followed by a cache line of unused capacity: two workers' scratch
+// arrays allocated this way never share a cache line.
+func workerScratch[T any](n int) []T {
+	var zero T
+	return make([]T, n, n+cacheLine/int(unsafe.Sizeof(zero)))
+}
+
+// cacheLine is the false-sharing unit workerScratch pads by.
+const cacheLine = 64
+
+// undeclaredRead refuses the space for the action a spot check caught
+// (w.extra) at state w.state: its memoized guard or successor (what)
+// differs from a fresh evaluation, so it reads a variable outside its
+// declared Reads.
+func (sp *Space) undeclaredRead(w *witness, what string) error {
+	a := sp.P.Actions[w.extra]
+	names := make([]string, len(a.Reads))
+	for k, id := range a.Reads {
+		names[k] = sp.P.Schema.Spec(id).Name
+	}
+	return fmt.Errorf("verify: action %q of %q reads a variable outside its declared Reads {%s}: its %s at %s disagrees with the one memoized from them",
+		a.Name, sp.P.Name, strings.Join(names, ", "), what, sp.State(w.state))
 }
 
 // undeclaredWrite names the action behind a failed write check at full

@@ -79,7 +79,7 @@ func CheckPreservesContext(ctx context.Context, schema *program.Schema, a *progr
 func newSchemaPairs(schema *program.Schema, workers int) []statePair {
 	scr := make([]statePair, workers)
 	for i := range scr {
-		scr[i] = statePair{st: schema.NewState(), tmp: schema.NewState()}
+		scr[i] = statePair{st: schema.NewScratchState(), tmp: schema.NewScratchState()}
 	}
 	return scr
 }
@@ -115,7 +115,7 @@ func CheckPreservesProjectedContext(ctx context.Context, schema *program.Schema,
 	workers := opts.workers()
 	scr := make([]*program.State, workers)
 	for i := range scr {
-		scr[i] = schema.NewState() // non-projected variables stay at Dom.Min
+		scr[i] = schema.NewScratchState() // non-projected variables stay at Dom.Min
 	}
 	w := newWitness()
 	err = parallelRange(ctx, workers, count, opts.Progress, func(worker int, lo, hi int64) {
@@ -241,7 +241,7 @@ func GuardImpliesNotContext(ctx context.Context, schema *program.Schema, a *prog
 	workers := opts.workers()
 	scr := make([]*program.State, workers)
 	for i := range scr {
-		scr[i] = schema.NewState()
+		scr[i] = schema.NewScratchState()
 	}
 	w := newWitness()
 	err = parallelRange(ctx, workers, count, opts.Progress, func(worker int, lo, hi int64) {

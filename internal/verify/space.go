@@ -363,7 +363,7 @@ func (sp *Space) weightedCountAndNot(b, not bitset) int64 {
 func (sp *Space) newStates() []*program.State {
 	scr := make([]*program.State, sp.workers())
 	for i := range scr {
-		scr[i] = sp.P.Schema.NewState()
+		scr[i] = sp.P.Schema.NewScratchState()
 	}
 	return scr
 }
@@ -373,11 +373,7 @@ func (sp *Space) newStates() []*program.State {
 type statePair struct{ st, tmp *program.State }
 
 func (sp *Space) newStatePairs() []statePair {
-	scr := make([]statePair, sp.workers())
-	for i := range scr {
-		scr[i] = statePair{st: sp.P.Schema.NewState(), tmp: sp.P.Schema.NewState()}
-	}
-	return scr
+	return newSchemaPairs(sp.P.Schema, sp.workers())
 }
 
 // evalPred evaluates pred at every state in parallel, returning its
