@@ -54,7 +54,6 @@ func main() {
 		maxStates = flag.Int64("max-states", 0, fmt.Sprintf("state-space cap (0 = default %d)", verify.DefaultMaxStates))
 		spaceMode = flag.String("space-mode", "auto", "state-space tier: auto (escalate full -> quotient -> spill as the instance outgrows RAM) | full | quotient | spill")
 		spillDir  = flag.String("spill-dir", "", "directory for the disk tier's CSR segments and frontier runs, whether -space-mode spill forces it or auto escalates to it (empty = OS temp dir)")
-		quotMap   = flag.String("quotient-map", "fingerprint", "quotient representative lookup: fingerprint (64-bit, refuses on collision) | exact (binary search)")
 		jsonOut   = flag.Bool("json", false, "emit the machine-readable service.Result JSON instead of prose")
 		measure   = flag.Bool("measure", false, "additionally run the quantitative tolerance metrics (distance profile, worst/expected stabilization time, per-constraint recovery costs)")
 		storeDir  = flag.String("store", "", "persistent verdict store directory shared with csserved; hits skip the check")
@@ -96,10 +95,6 @@ func main() {
 	}
 	var flagErr error
 	if opts.SpaceMode, flagErr = verify.ParseSpaceMode(*spaceMode); flagErr != nil {
-		fmt.Fprintln(os.Stderr, "csverify:", flagErr)
-		os.Exit(2)
-	}
-	if opts.QuotientMap, flagErr = verify.ParseQuotientMap(*quotMap); flagErr != nil {
 		fmt.Fprintln(os.Stderr, "csverify:", flagErr)
 		os.Exit(2)
 	}

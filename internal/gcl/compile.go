@@ -64,6 +64,41 @@ type compiler struct {
 	arrays map[string][]int32 // const arrays
 	enums  map[string]int32   // enum labels as global constants
 	vars   map[string]*varSym
+	// expanded counts what the module has unrolled to so far (see
+	// maxExpansion).
+	expanded int64
+}
+
+// maxExpansion bounds what one module compiles: array elements,
+// parameter instances, and the expression nodes of every compiled
+// declaration instance and quantifier body copy. Nested expansions
+// multiply, so a short source with a huge range or a large unrolled
+// body is refused at compile time instead of exhausting memory.
+const maxExpansion = 1 << 16
+
+// grow charges n units to the module's expansion budget and reports
+// whether the module still fits it.
+func (c *compiler) grow(n int64) bool {
+	c.expanded += n
+	return c.expanded <= maxExpansion
+}
+
+// exprSize counts the nodes of e that compile to code: the unit the
+// expansion budget charges per compiled copy of an expression.
+func exprSize(e Expr) int64 {
+	switch n := e.(type) {
+	case *VarRef:
+		if n.Index != nil {
+			return 1 + exprSize(n.Index)
+		}
+	case *Unary:
+		return 1 + exprSize(n.X)
+	case *Binary:
+		return 1 + exprSize(n.L) + exprSize(n.R)
+	case *Quant:
+		return 1 + exprSize(n.Body)
+	}
+	return 1
 }
 
 // Compile type-checks and compiles a parsed file.
@@ -102,7 +137,7 @@ func Compile(f *File) (*Module, error) {
 	constraintOf := map[invKey]*constraint.Constraint{}
 	set := constraint.NewSet()
 	for _, inv := range f.Invs {
-		insts, err := c.expand(inv.Pos, inv.Param, inv.Lo, inv.Hi)
+		insts, err := c.expand(inv.Pos, "invariant", inv.Name, inv.Param, inv.Lo, inv.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +171,7 @@ func Compile(f *File) (*Module, error) {
 	// Actions.
 	prog := program.New(f.Name, c.schema)
 	for _, act := range f.Actions {
-		insts, err := c.expand(act.Pos, act.Param, act.Lo, act.Hi)
+		insts, err := c.expand(act.Pos, "action", act.Name, act.Param, act.Lo, act.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -287,6 +322,9 @@ func (c *compiler) declareVars() error {
 			if n <= 0 {
 				return errf(d.Pos, "array %q has non-positive size %d", d.Name, n)
 			}
+			if !c.grow(int64(n)) {
+				return errf(d.Pos, "array %q of %d elements expands the module past its budget of %d", d.Name, n, maxExpansion)
+			}
 			ids, err := c.schema.DeclareArray(d.Name, int(n), dom)
 			if err != nil {
 				return errf(d.Pos, "%v", err)
@@ -436,8 +474,9 @@ func applyBinary(pos Pos, op tokenKind, l, r int32) (int32, error) {
 }
 
 // expand enumerates a parameter range (or the single unparameterized
-// instance, signalled by an empty param name).
-func (c *compiler) expand(pos Pos, param string, lo, hi Expr) ([]int32, error) {
+// instance, signalled by an empty param name) of the declaration kind
+// name, charging its instances to the module's expansion budget.
+func (c *compiler) expand(pos Pos, kind, name, param string, lo, hi Expr) ([]int32, error) {
 	if param == "" {
 		return []int32{0}, nil
 	}
@@ -452,9 +491,14 @@ func (c *compiler) expand(pos Pos, param string, lo, hi Expr) ([]int32, error) {
 	if hiV < loV {
 		return nil, errf(pos, "empty parameter range %d..%d", loV, hiV)
 	}
-	out := make([]int32, 0, hiV-loV+1)
-	for v := loV; v <= hiV; v++ {
-		out = append(out, v)
+	n := int64(hiV) - int64(loV) + 1
+	if !c.grow(n) {
+		return nil, errf(pos, "%s %q: parameter range %d..%d expands the module past its budget of %d",
+			kind, name, loV, hiV, maxExpansion)
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = loV + int32(i)
 	}
 	return out, nil
 }

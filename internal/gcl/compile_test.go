@@ -2,6 +2,7 @@ package gcl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -625,6 +626,36 @@ action g closure : forall k in 0..3 : (k < 2 || c[k] = 0) -> skip;
 		_, err := Load("program big;\nvar x : 0..3;\ninvariant I : " + src + ";\n")
 		if err == nil || !strings.Contains(err.Error(), "copies of its body") {
 			t.Errorf("%s: err = %v, want the unroll bound", src, err)
+		}
+	}
+}
+
+// oversizedSources are short sources whose parameter ranges, arrays or
+// quantifier nests unroll far past the module's expansion budget, each
+// with the declaration its refusal must name.
+var oversizedSources = []struct{ src, want string }{
+	{"program big;\nvar x : 0..3;\naction a for i in 0..2147483647 closure : x = 0 -> x := 1;\n", `action "a"`},
+	{"program big;\nvar x : 0..3;\naction a for i in 1..2147483647 closure : x = 0 -> x := 1;\n", `action "a"`},
+	{"program big;\nvar x[2147483647] : bool;\n", `array "x"`},
+	{"program big;\nvar x : 0..3;\naction a for i in 0..3000000 closure : x = 0 -> x := 1;\n", `action "a"`},
+	{"program big;\nvar x : 0..3;\ninvariant I for i in 0..3000000 : x = i;\n", `invariant "I"`},
+	{"program big;\nvar x : 0..3;\naction a for i in 0..65535 closure : (forall k in 0..65535 : (x != k)) -> x := 1;\n", `action "a`},
+	{"program big;\nvar x : 0..3;\naction a for i in 0..4095 closure : (forall k in 0..15 : (x != k)) -> x := 1;\n", "copies of its body"},
+	{"program big;\nvar x : 0..3;\ninvariant I : forall k in 0..999 : (" + strings.Repeat("x = 0 && ", 100) + "true);\n", "copies of its body"},
+	{"program big;\nvar x : 0..3;\ninvariant I for i in 0..999 : " + strings.Repeat("x = i && ", 100) + "true;\n", `predicate "I[`},
+	{"program big;\nvar x : 0..3;\ninvariant I : forall i in 0..4095 : (exists j in 0..1023 : (x = i + j));\n", "copies of its body"},
+}
+
+// TestLoadRefusesOversizedExpansion pins the module-wide expansion
+// budget: every oversized source is refused with a positioned error
+// naming the declaration, rather than panicking in an int32 overflow or
+// exhausting memory.
+func TestLoadRefusesOversizedExpansion(t *testing.T) {
+	for _, c := range oversizedSources {
+		_, err := Load(c.src)
+		var gerr *Error
+		if !errors.As(err, &gerr) || gerr.Pos.Line == 0 || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want a positioned error naming %s", c.src, err, c.want)
 		}
 	}
 }

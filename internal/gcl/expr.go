@@ -12,8 +12,6 @@ type scope struct {
 	// quants binds the enclosing quantifier variables, outermost first,
 	// to the value of the body copy being compiled.
 	quants []quantBinding
-	// copies counts the quantifier body copies compiled so far.
-	copies int
 	// reads accumulates the variables the expression may read.
 	reads map[program.VarID]bool
 }
@@ -24,11 +22,6 @@ type quantBinding struct {
 	name string
 	val  int32
 }
-
-// maxQuantCopies bounds the quantifier body copies one expression
-// unrolls to, nested quantifiers multiplying, so that a short source with
-// a huge range is refused at compile time instead of exhausting memory.
-const maxQuantCopies = 1 << 16
 
 func (s *scope) quantValue(name string) (int32, bool) {
 	// Innermost binding wins.
@@ -227,8 +220,9 @@ func (s *scope) compileQuant(n *Quant) (operand, error) {
 		return operand{}, errf(n.Pos, "quantifier variable %q shadows a parameter", n.Param)
 	}
 	count := max(int64(hi)-int64(lo)+1, 0)
-	if s.copies += int(max(count, 1)); s.copies > maxQuantCopies {
-		return operand{}, errf(n.Pos, "quantifier over %d..%d unrolls the expression past %d copies of its body", lo, hi, maxQuantCopies)
+	if copies := max(count, 1); !s.c.grow(copies * exprSize(n.Body)) {
+		return operand{}, errf(n.Pos, "quantifier over %d..%d: %d copies of its body expand the module past its budget of %d",
+			lo, hi, copies, maxExpansion)
 	}
 	// forall stops at the first false copy, exists at the first true one;
 	// a quantifier that does not stop is the other value.
@@ -399,6 +393,9 @@ func (s *scope) compileIndex(n *VarRef, length int) (idx operand, constIdx int32
 
 // compilePredicate compiles a boolean expression into a named predicate.
 func (c *compiler) compilePredicate(name string, e Expr, params map[string]int32) (*program.Predicate, error) {
+	if !c.grow(exprSize(e)) {
+		return nil, errf(e.pos(), "predicate %q expands the module past its budget of %d", name, maxExpansion)
+	}
 	s := &scope{c: c, params: params, reads: map[program.VarID]bool{}}
 	body, err := s.compileExpr(e)
 	if err != nil {
@@ -446,6 +443,13 @@ func (s *scope) resolveLValue(n *VarRef) (program.VarID, error) {
 // compileAction compiles one expanded action instance.
 func (c *compiler) compileAction(name string, kind program.ActionKind,
 	d *ActionDecl, params map[string]int32) (*program.Action, error) {
+	size := exprSize(d.Guard)
+	for _, e := range d.RHS {
+		size += exprSize(e)
+	}
+	if !c.grow(size) {
+		return nil, errf(d.Pos, "action %q expands the module past its budget of %d", name, maxExpansion)
+	}
 	gs := &scope{c: c, params: params, reads: map[program.VarID]bool{}}
 	guard, err := gs.compileExpr(d.Guard)
 	if err != nil {

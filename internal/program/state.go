@@ -83,27 +83,6 @@ func (s *State) Key() string {
 	return string(b)
 }
 
-// Hash64 returns a 64-bit FNV-1a fingerprint of the state's value vector.
-// Two Equal states always hash alike; distinct states collide with the
-// usual 64-bit birthday odds, so consumers that substitute the hash for
-// the identity (the verifier's fingerprint-mapped quotient spaces) must
-// detect collisions rather than assume injectivity.
-func (s *State) Hash64() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range s.vals {
-		u := uint32(v)
-		h = (h ^ uint64(u&0xff)) * prime64
-		h = (h ^ uint64((u>>8)&0xff)) * prime64
-		h = (h ^ uint64((u>>16)&0xff)) * prime64
-		h = (h ^ uint64(u>>24)) * prime64
-	}
-	return h
-}
-
 // String renders the state as "name=value" pairs in declaration order,
 // using domain-aware value formatting.
 func (s *State) String() string {

@@ -1,10 +1,6 @@
 package verify
 
-import (
-	"context"
-
-	"nonmask/internal/program"
-)
+import "context"
 
 // SetSuccIndexBudget overrides the in-RAM CSR budget for the duration of
 // a test, returning a restore function. A tiny budget refuses every
@@ -35,16 +31,6 @@ func (sp *Space) SuccIndexStats() (edges, bytes int64) {
 	return sp.idx.numEdges(), sp.idx.fwdBytes()
 }
 
-// SetStateFingerprint substitutes the quotient fingerprint hash for the
-// duration of a test, returning a restore function. A degenerate hash
-// forces 64-bit collisions between distinct representatives, exercising
-// the FingerprintCollision refusal path.
-func SetStateFingerprint(fn func(*program.State) uint64) (restore func()) {
-	old := stateFingerprint
-	stateFingerprint = fn
-	return func() { stateFingerprint = old }
-}
-
 // SetSpillNamedFallback forces the spill arena's named-file fallback
 // (bypassing O_TMPFILE), so crash-sweep tests can observe leftover files
 // on disk. Returns a restore function.
@@ -72,3 +58,12 @@ func (sp *Space) ForwardCSR() (offsets []uint32, edges []int32) {
 // RandomProgram exposes the metatheorem suite's random transition-system
 // generator to the external test package.
 var RandomProgram = randomProgram
+
+// QuotientTables exposes a quotient space's ascending representative
+// list and its orbit weights (nil, nil outside quotient mode).
+func (sp *Space) QuotientTables() (reps []int64, weights []uint32) {
+	if sp.quot == nil {
+		return nil, nil
+	}
+	return sp.quot.reps, sp.quot.weights
+}

@@ -71,42 +71,6 @@ func ParseSpaceMode(s string) (SpaceMode, error) {
 	return 0, fmt.Errorf("verify: unknown space mode %q (want auto | full | quotient | spill)", s)
 }
 
-// QuotientMap selects the canonical-state lookup structure of the
-// quotient tier.
-type QuotientMap int
-
-const (
-	// MapFingerprint (the default) looks representatives up through an
-	// open-addressed table of 64-bit state fingerprints. A fingerprint
-	// collision between two distinct representatives is detected at build
-	// time and makes the check refuse with a report naming both states —
-	// never a silent wrong verdict.
-	MapFingerprint QuotientMap = iota
-	// MapExact looks representatives up by binary search over the sorted
-	// representative index list: no hashing, no collision risk, O(log n)
-	// per lookup. The metamorphic suites cross-check the two.
-	MapExact
-)
-
-// String returns the map's flag spelling.
-func (m QuotientMap) String() string {
-	if m == MapExact {
-		return "exact"
-	}
-	return "fingerprint"
-}
-
-// ParseQuotientMap parses the -quotient-map flag spelling.
-func ParseQuotientMap(s string) (QuotientMap, error) {
-	switch s {
-	case "", "fingerprint":
-		return MapFingerprint, nil
-	case "exact":
-		return MapExact, nil
-	}
-	return 0, fmt.Errorf("verify: unknown quotient map %q (want fingerprint | exact)", s)
-}
-
 // Options configures the checker. The zero value is ready to use: default
 // state cap, one worker per CPU, projected preservation strategy, no
 // deadline.
@@ -151,9 +115,6 @@ type Options struct {
 	// tier reduces by. Registry entries advertise one per symmetric
 	// protocol; it is ignored outside the quotient tier.
 	Symmetry *Symmetry
-	// QuotientMap selects the representative lookup structure of the
-	// quotient tier (fingerprint table by default).
-	QuotientMap QuotientMap
 	// SpillDir is the directory the spill tier writes CSR segment files
 	// and frontier runs into, whether SpaceSpill forces the tier or
 	// SpaceAuto escalates to it. Empty means os.TempDir().
@@ -176,9 +137,6 @@ func (o Options) validate() error {
 	}
 	if o.SpaceMode < SpaceAuto || o.SpaceMode > SpaceSpill {
 		return fmt.Errorf("verify: unknown SpaceMode %d", int(o.SpaceMode))
-	}
-	if o.QuotientMap < MapFingerprint || o.QuotientMap > MapExact {
-		return fmt.Errorf("verify: unknown QuotientMap %d", int(o.QuotientMap))
 	}
 	if o.SpaceMode == SpaceQuotient && o.Symmetry == nil {
 		return fmt.Errorf("verify: SpaceQuotient requires a Symmetry (the instance advertises none)")
@@ -295,13 +253,6 @@ func WithSpaceMode(m SpaceMode) Option {
 // symmetry; hand-built programs can pass their own. Pass nil to clear.
 func WithSymmetry(sym *Symmetry) Option {
 	return func(o *Options, _ *checkExtras) { o.Symmetry = sym }
-}
-
-// WithQuotientMap selects the quotient tier's representative lookup
-// structure: the 64-bit fingerprint table (default, collision-refusing)
-// or the exact binary search.
-func WithQuotientMap(m QuotientMap) Option {
-	return func(o *Options, _ *checkExtras) { o.QuotientMap = m }
 }
 
 // WithSpillDir sets the directory the spill tier writes CSR segments and

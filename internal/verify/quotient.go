@@ -5,34 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"nonmask/internal/program"
 )
-
-// stateFingerprint computes the 64-bit fingerprint the MapFingerprint
-// lookup table keys representatives by. A package var so the forced-
-// collision unit test can substitute a degenerate hash and exercise the
-// refusal path (see export_test.go).
-var stateFingerprint = (*program.State).Hash64
-
-// FingerprintCollision is the refusal report of the fingerprint-mapped
-// quotient tier: two distinct orbit representatives hashed to the same
-// 64-bit fingerprint, so the hash cannot stand in for state identity.
-// The check refuses with this error — never a silent wrong verdict; the
-// caller retries with MapExact (binary search, no hashing).
-type FingerprintCollision struct {
-	// Fingerprint is the colliding 64-bit value.
-	Fingerprint uint64
-	// A and B are the two representatives that share it.
-	A, B *program.State
-}
-
-// Error renders the refusal.
-func (c *FingerprintCollision) Error() string {
-	return fmt.Sprintf("verify: fingerprint collision %#016x between representatives %s and %s; re-run with the exact quotient map",
-		c.Fingerprint, c.A, c.B)
-}
 
 // quotient is the symmetry-reduced view of a full state space: the
 // ascending list of orbit representatives (full-product indices i with
@@ -46,30 +23,51 @@ type quotient struct {
 	reps      []int64  // ascending full indices of the representatives
 	weights   []uint32 // orbit sizes, indexed by quotient id
 
-	// Fingerprint lookup (MapFingerprint): open-addressed, linear probing,
-	// power-of-two sized at ~2× load headroom. vals stores qid+1 so 0
-	// means empty. nil when the exact map is selected.
-	fpKeys []uint64
-	fpVals []int32
-	fpMask uint64
+	// Representative lookup: open-addressed, linear probing, power-of-two
+	// sized at ~2× load headroom, keyed by the full-product index of the
+	// canonical state. The index is exact, so keys never collide; vals
+	// stores qid+1 so 0 means empty.
+	keys  []int64
+	vals  []int32
+	shift uint // 64 - log2(len(keys)): Fibonacci hashing keeps the high bits
 }
 
-// lookupRep binary-searches the representative list for full index fi,
-// returning the quotient id.
-func (q *quotient) lookupRep(fi int64) (int64, bool) {
-	lo, hi := 0, len(q.reps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.reps[mid] < fi {
-			lo = mid + 1
-		} else {
-			hi = mid
+// fibMul is 2^64 divided by the golden ratio; multiplying by it and
+// keeping the high bits spreads consecutive indices across the table.
+const fibMul = 0x9e3779b97f4a7c15
+
+// buildTable fills the lookup table from the representative list.
+func (q *quotient) buildTable() {
+	size := uint64(1)
+	if n := len(q.reps); n > 0 {
+		size = uint64(1) << bits.Len(uint(2*n))
+	}
+	q.keys = make([]int64, size)
+	q.vals = make([]int32, size)
+	q.shift = uint(64 - bits.TrailingZeros64(size))
+	mask := size - 1
+	for qid, fi := range q.reps {
+		slot := uint64(fi) * fibMul >> q.shift
+		for q.vals[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		q.keys[slot], q.vals[slot] = fi, int32(qid)+1
+	}
+}
+
+// lookup returns the quotient id of the representative whose full index
+// is fi, and false when fi is not a representative.
+func (q *quotient) lookup(fi int64) (int64, bool) {
+	mask := uint64(len(q.keys) - 1)
+	for slot := uint64(fi) * fibMul >> q.shift; ; slot = (slot + 1) & mask {
+		v := q.vals[slot]
+		if v == 0 {
+			return 0, false
+		}
+		if q.keys[slot] == fi {
+			return int64(v - 1), true
 		}
 	}
-	if lo < len(q.reps) && q.reps[lo] == fi {
-		return int64(lo), true
-	}
-	return 0, false
 }
 
 // indexOf canonicalizes st in place and returns its quotient id. Every
@@ -79,23 +77,9 @@ func (q *quotient) lookupRep(fi int64) (int64, bool) {
 // here means memory corruption, so it panics rather than limping on.
 func (q *quotient) indexOf(codec *program.Codec, st *program.State) int64 {
 	q.sym.Canonicalize(st)
-	if q.fpKeys != nil {
-		fp := stateFingerprint(st)
-		slot := fp & q.fpMask
-		for {
-			v := q.fpVals[slot]
-			if v == 0 {
-				panic(fmt.Sprintf("verify: fingerprint %#016x of canonical state %s missing from quotient map", fp, st))
-			}
-			if q.fpKeys[slot] == fp {
-				return int64(v - 1)
-			}
-			slot = (slot + 1) & q.fpMask
-		}
-	}
-	qid, ok := q.lookupRep(codec.Encode(st))
+	qid, ok := q.lookup(codec.Encode(st))
 	if !ok {
-		panic(fmt.Sprintf("verify: canonical state %s missing from quotient representative list", st))
+		panic(fmt.Sprintf("verify: canonical state %s missing from quotient map", st))
 	}
 	return qid
 }
@@ -104,18 +88,15 @@ func (q *quotient) indexOf(codec *program.Codec, st *program.State) int64 {
 // under sym and computes orbit weights, in two sharded full-product
 // sweeps under one `canonicalize` span:
 //
-//	sweep 1: count representatives per chunk, then place them at
-//	         deterministic offsets of the ascending reps list (a state i
-//	         is a representative iff Index(canon(StateAt(i))) = i);
-//	sweep 2: canonicalize every state, resolve its representative, and
-//	         accumulate orbit weights with per-qid atomic adds. A
-//	         canonical image that is not itself a representative fails
-//	         here — the idempotence half of the Symmetry contract is
-//	         enforced, not assumed.
-//
-// With MapFingerprint the lookup table is then built from the
-// representatives; a 64-bit collision between two of them is refused
-// with a FingerprintCollision naming both states.
+//	sweep 1: collect each chunk's representatives (a state i is one iff
+//	         Index(canon(StateAt(i))) = i) into a chunk-local slice, then
+//	         concatenate the slices in chunk order, so reps is ascending
+//	         and identical at every worker count;
+//	sweep 2: canonicalize every state, look its representative up in the
+//	         table built from reps, and accumulate orbit weights with
+//	         per-qid atomic adds. A canonical image that is not itself a
+//	         representative fails here — the idempotence half of the
+//	         Symmetry contract is enforced, not assumed.
 func buildQuotient(ctx context.Context, p *program.Program, opts Options, codec *program.Codec) (*quotient, error) {
 	sym := opts.Symmetry
 	if sym == nil || sym.Canonicalize == nil {
@@ -125,8 +106,6 @@ func buildQuotient(ctx context.Context, p *program.Program, opts Options, codec 
 	q := &quotient{sym: sym, fullCount: fullCount}
 	span := startPass(opts, PassCanonicalize, 2*fullCount)
 	workers := opts.workers()
-	nChunks := (fullCount + chunkStates - 1) / chunkStates
-	chunkBase := make([]int64, nChunks)
 
 	// Each sweep walks the full product with an odometer and
 	// canonicalizes a copy of the walked state; canonOf returns the
@@ -140,49 +119,43 @@ func buildQuotient(ctx context.Context, p *program.Program, opts Options, codec 
 		return codec.Encode(canon)
 	}
 
-	// Sweep 1a: per-chunk representative counts.
+	// Sweep 1: per-chunk representative lists, gathered in a per-worker
+	// buffer and cloned to their exact length.
+	chunkReps := make([][]int64, (fullCount+chunkStates-1)/chunkStates)
+	bufs := make([][]int64, workers)
 	err := parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
-		var n int64
+		buf := bufs[worker][:0]
 		for i := lo; i < hi; i++ {
 			if canonOf(worker, lo, i) == i {
-				n++
+				buf = append(buf, i)
 			}
 		}
-		chunkBase[lo/chunkStates] = n
+		bufs[worker] = buf
+		chunkReps[lo/chunkStates] = slices.Clone(buf)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var total int64
-	for c := range chunkBase {
-		chunkBase[c], total = total, total+chunkBase[c]
+	for _, r := range chunkReps {
+		total += int64(len(r))
 	}
 	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("verify: quotient space of %q still has %d representatives (int32 index limit)", p.Name, total)
 	}
-
-	// Sweep 1b: fill the ascending representative list at each chunk's
-	// deterministic offset.
-	q.reps = make([]int64, total)
-	err = parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
-		cur := chunkBase[lo/chunkStates]
-		for i := lo; i < hi; i++ {
-			if canonOf(worker, lo, i) == i {
-				q.reps[cur] = i
-				cur++
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
+	q.reps = make([]int64, 0, total)
+	for c, r := range chunkReps {
+		q.reps = append(q.reps, r...)
+		chunkReps[c] = nil
 	}
+	q.buildTable()
 
 	// Sweep 2: orbit weights, plus the idempotence check.
 	q.weights = make([]uint32, total)
 	bad := newWitness()
 	err = parallelRange(ctx, workers, fullCount, opts.Progress, func(worker int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
-			qid, ok := q.lookupRep(canonOf(worker, lo, i))
+			qid, ok := q.lookup(canonOf(worker, lo, i))
 			if !ok {
 				bad.offer(i, 0)
 				continue
@@ -199,54 +172,13 @@ func buildQuotient(ctx context.Context, p *program.Program, opts Options, codec 
 		return nil, fmt.Errorf("verify: symmetry %q is not idempotent: canonical image %s of %s is not itself canonical",
 			sym.Name, st, p.Schema.StateAt(bad.state))
 	}
-
-	if opts.QuotientMap == MapFingerprint {
-		if err := q.buildFingerprints(p.Schema); err != nil {
-			return nil, err
-		}
-	}
 	span.end(2 * fullCount)
 	return q, nil
 }
 
-// buildFingerprints populates the open-addressed fingerprint table from
-// the representative list, refusing on any 64-bit collision.
-func (q *quotient) buildFingerprints(schema *program.Schema) error {
-	size := uint64(1)
-	if n := len(q.reps); n > 0 {
-		size = uint64(1) << bits.Len(uint(2*n))
-	}
-	q.fpKeys = make([]uint64, size)
-	q.fpVals = make([]int32, size)
-	q.fpMask = size - 1
-	st := schema.NewState()
-	for qid, fi := range q.reps {
-		schema.StateInto(fi, st)
-		fp := stateFingerprint(st)
-		slot := fp & q.fpMask
-		for {
-			v := q.fpVals[slot]
-			if v == 0 {
-				q.fpKeys[slot] = fp
-				q.fpVals[slot] = int32(qid) + 1
-				break
-			}
-			if q.fpKeys[slot] == fp {
-				return &FingerprintCollision{
-					Fingerprint: fp,
-					A:           schema.StateAt(q.reps[v-1]),
-					B:           schema.StateAt(fi),
-				}
-			}
-			slot = (slot + 1) & q.fpMask
-		}
-	}
-	return nil
-}
-
 // bytes reports the quotient bookkeeping footprint (reps + weights +
-// fingerprint table), for the canonicalize span and benchmarks.
+// lookup table), for the canonicalize span and benchmarks.
 func (q *quotient) bytes() int64 {
 	return 8*int64(len(q.reps)) + 4*int64(len(q.weights)) +
-		8*int64(len(q.fpKeys)) + 4*int64(len(q.fpVals))
+		8*int64(len(q.keys)) + 4*int64(len(q.vals))
 }

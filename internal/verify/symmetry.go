@@ -49,9 +49,10 @@ type Symmetry struct {
 
 // IdentitySymmetry is the trivial group: every orbit a singleton, the
 // quotient space the full space. It exists so the quotient machinery —
-// the fingerprint map in particular — can run (and be cross-checked) on
-// programs with no exploitable symmetry; the metamorphic suites use it to
-// prove exact-map-vs-fingerprint agreement on arbitrary programs.
+// canonicalization sweeps, representative lookup, orbit weights — can
+// run (and be cross-checked) on programs with no exploitable symmetry;
+// the metamorphic suites use it to prove full-vs-quotient agreement on
+// arbitrary programs.
 func IdentitySymmetry() *Symmetry {
 	return &Symmetry{Name: "identity", Canonicalize: func(*program.State) {}}
 }
