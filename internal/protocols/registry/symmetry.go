@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,23 +160,24 @@ func treeSymmetry(schema *program.Schema, parent []int) *verify.Symmetry {
 	}
 	classify(root)
 
-	// classGroups[j] lists the groups of j's children (node ids, ascending)
-	// sharing a shape class, groups of size >= 2 only — the exchangeable
-	// sibling sets.
-	classGroups := make([][][]int, n)
+	// classPos[j] lists, per shape class of j's children with two or
+	// more members, the positions in children[j] of that class — the
+	// exchangeable sibling slots, fixed by the shapes alone.
+	tc := &treeCanon{nodeVars: nodeVars, children: children, classPos: make([][][]int, n),
+		off: make([]int, n), vecLen: vecLen, root: root}
 	exchangeable := false
 	for j := 0; j < n; j++ {
 		byShape := map[int][]int{}
-		for _, k := range children[j] {
-			byShape[shape[k]] = append(byShape[shape[k]], k)
+		for p, k := range children[j] {
+			byShape[shape[k]] = append(byShape[shape[k]], p)
 		}
-		for _, grp := range byShape {
-			if len(grp) >= 2 {
-				classGroups[j] = append(classGroups[j], grp)
+		for _, pos := range byShape {
+			if len(pos) >= 2 {
+				tc.classPos[j] = append(tc.classPos[j], pos)
 				exchangeable = true
 			}
 		}
-		sort.Slice(classGroups[j], func(a, b int) bool { return classGroups[j][a][0] < classGroups[j][b][0] })
+		sort.Slice(tc.classPos[j], func(a, b int) bool { return tc.classPos[j][a][0] < tc.classPos[j][b][0] })
 	}
 	if !exchangeable {
 		return nil
@@ -183,13 +185,14 @@ func treeSymmetry(schema *program.Schema, parent []int) *verify.Symmetry {
 
 	// Arena layout: each node's canonical subtree vector lives at a fixed
 	// offset; the root's vector is the whole canonical value assignment in
-	// pre-order (own variables, then children's vectors).
-	off := make([]int, n)
+	// pre-order (own variables, then children's vectors), the order of
+	// tc.preorder.
 	total := 0
 	var layout func(j int)
 	layout = func(j int) {
-		off[j] = total
+		tc.off[j] = total
 		total += vecLen[j]
+		tc.preorder = append(tc.preorder, nodeVars[j]...)
 		for _, k := range children[j] {
 			layout(k)
 		}
@@ -198,83 +201,69 @@ func treeSymmetry(schema *program.Schema, parent []int) *verify.Symmetry {
 
 	// Canonicalize is hot (called per state from every sharded pass), so
 	// scratch arenas are pooled rather than allocated per call.
-	pool := &sync.Pool{New: func() any {
-		return &treeScratch{arena: make([]int32, total), order: make([]int, n)}
-	}}
-
-	return &verify.Symmetry{
-		Name: fmt.Sprintf("subtree-iso(%d)", n),
-		Canonicalize: func(st *program.State) {
-			sc := pool.Get().(*treeScratch)
-			arena := sc.arena
-			vec := func(j int) []int32 { return arena[off[j] : off[j]+vecLen[j]] }
-			var rec func(j int)
-			rec = func(j int) {
-				v := arena[off[j]:off[j]]
-				for _, id := range nodeVars[j] {
-					v = append(v, st.Get(id))
-				}
-				for _, k := range children[j] {
-					rec(k)
-				}
-				// Within each isomorphism class, feed the child vectors in
-				// ascending lexicographic order; classes keep their slots
-				// (identical shapes make the exchange slot-compatible).
-				order := sc.order[:0]
-				order = append(order, children[j]...)
-				for _, grp := range classGroups[j] {
-					pos := make([]int, 0, len(grp))
-					for i, k := range order {
-						if shape[k] == shape[grp[0]] {
-							pos = append(pos, i)
-						}
-					}
-					members := make([]int, len(pos))
-					for i, p := range pos {
-						members[i] = order[p]
-					}
-					sort.Slice(members, func(a, b int) bool {
-						return lexLess(vec(members[a]), vec(members[b]))
-					})
-					for i, p := range pos {
-						order[p] = members[i]
-					}
-				}
-				for _, k := range order {
-					v = append(v, vec(k)...)
-				}
-			}
-			rec(root)
-			rootVec := vec(root)
-			pos := 0
-			var wb func(j int)
-			wb = func(j int) {
-				for _, id := range nodeVars[j] {
-					st.Set(id, rootVec[pos])
-					pos++
-				}
-				for _, k := range children[j] {
-					wb(k)
-				}
-			}
-			wb(root)
-			pool.Put(sc)
-		},
+	tc.pool.New = func() any {
+		return &treeScratch{arena: make([]int32, total), order: make([]int, n), members: make([]int, n)}
 	}
+	return &verify.Symmetry{Name: fmt.Sprintf("subtree-iso(%d)", n), Canonicalize: tc.canonicalize}
+}
+
+// treeCanon is a tree's subtree-isomorphism canonicalizer; every table
+// is fixed at construction, and each call works in a pooled treeScratch.
+type treeCanon struct {
+	nodeVars    [][]program.VarID
+	children    [][]int
+	classPos    [][][]int
+	off, vecLen []int
+	root        int
+	preorder    []program.VarID
+	pool        sync.Pool
 }
 
 type treeScratch struct {
-	arena []int32
-	order []int
+	arena          []int32
+	order, members []int
 }
 
-func lexLess(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+func (tc *treeCanon) canonicalize(st *program.State) {
+	sc := tc.pool.Get().(*treeScratch)
+	tc.rec(sc, st, tc.root)
+	for k, id := range tc.preorder {
+		st.Set(id, sc.arena[k])
+	}
+	tc.pool.Put(sc)
+}
+
+func (tc *treeCanon) vec(sc *treeScratch, j int) []int32 {
+	return sc.arena[tc.off[j] : tc.off[j]+tc.vecLen[j]]
+}
+
+// rec writes node j's canonical subtree vector. Within each isomorphism
+// class the child vectors are fed in ascending lexicographic order;
+// classes keep their slots (identical shapes make the exchange
+// slot-compatible).
+func (tc *treeCanon) rec(sc *treeScratch, st *program.State, j int) {
+	v := sc.arena[tc.off[j]:tc.off[j]]
+	for _, id := range tc.nodeVars[j] {
+		v = append(v, st.Get(id))
+	}
+	ks := tc.children[j]
+	for _, k := range ks {
+		tc.rec(sc, st, k)
+	}
+	order := append(sc.order[:0], ks...)
+	for _, pos := range tc.classPos[j] {
+		members := sc.members[:0]
+		for _, p := range pos {
+			members = append(members, ks[p])
+		}
+		slices.SortFunc(members, func(a, b int) int { return slices.Compare(tc.vec(sc, a), tc.vec(sc, b)) })
+		for i, p := range pos {
+			order[p] = members[i]
 		}
 	}
-	return false
+	for _, k := range order {
+		v = append(v, tc.vec(sc, k)...)
+	}
 }
 
 // splitIndexed parses "base[idx]" variable names.

@@ -3,6 +3,8 @@ package registry
 import (
 	"context"
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"nonmask/internal/program"
@@ -210,5 +212,31 @@ func TestRingQuotientFactor(t *testing.T) {
 	}
 	if rep.Space.FullCount != 6*want {
 		t.Fatalf("full count %d; want %d", rep.Space.FullCount, 6*want)
+	}
+}
+
+// TestTreeCanonicalizeAllocsNothing pins the tree canonicalizer's hot
+// path: it runs once per full-product state in the quotient sweeps and
+// once per successor in the quotient walk, so its sibling-class slots
+// are fixed at construction and its sort works in the pooled scratch.
+func TestTreeCanonicalizeAllocsNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts, so the pool allocates")
+	}
+	inst, err := Build("diffusing", Params{N: 8, Tree: "binary"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := inst.Program.Schema
+	count, _ := schema.StateCount()
+	codec, st := program.NewCodec(schema), schema.NewScratchState()
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		codec.Decode(i%count, st)
+		i += 7919
+		inst.Symmetry.Canonicalize(st)
+	})
+	if allocs != 0 {
+		t.Fatalf("Canonicalize allocates %v times per call, want 0", allocs)
 	}
 }

@@ -37,7 +37,7 @@ func TestMetricsExposePassHistograms(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 
-	for _, pass := range []string{verify.PassEnumerate, verify.PassSuccTable,
+	for _, pass := range []string{verify.PassSuccTable,
 		verify.PassClosure, verify.PassConvergeUnfair} {
 		bucket := fmt.Sprintf("csserved_pass_latency_seconds_bucket{pass=%q,le=\"+Inf\"} 1", pass)
 		if !strings.Contains(body, bucket) {
@@ -76,11 +76,11 @@ func TestResultCarriesDaemonAndPasses(t *testing.T) {
 	if st.Result.Daemon != DaemonArbitrary {
 		t.Errorf("daemon = %q, want %q", st.Result.Daemon, DaemonArbitrary)
 	}
-	if len(st.Result.Passes) < 4 {
-		t.Fatalf("result has %d passes, want at least 4: %+v", len(st.Result.Passes), st.Result.Passes)
+	if len(st.Result.Passes) < 3 {
+		t.Fatalf("result has %d passes, want at least 3: %+v", len(st.Result.Passes), st.Result.Passes)
 	}
-	if st.Result.Passes[0].Pass != verify.PassEnumerate {
-		t.Errorf("first pass = %q, want %q", st.Result.Passes[0].Pass, verify.PassEnumerate)
+	if st.Result.Passes[0].Pass != verify.PassSuccTable {
+		t.Errorf("first pass = %q, want %q", st.Result.Passes[0].Pass, verify.PassSuccTable)
 	}
 	for _, p := range st.Result.Passes {
 		if p.States <= 0 {

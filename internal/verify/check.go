@@ -42,8 +42,8 @@ type Report struct {
 	// present only when WithMetrics was given.
 	Metrics *ToleranceMetrics
 	// Passes records one span per verifier pass the check ran, in
-	// completion order: the exact state counts and wall time of
-	// enumeration, successor-table build, closure scans and convergence
+	// completion order: the exact state counts and wall time of the
+	// walk that builds the space, closure scans and convergence
 	// fixpoints. Always populated (collection costs a few time.Now calls);
 	// WithTracer additionally streams the same spans live.
 	Passes []obs.PassStat

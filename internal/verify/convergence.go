@@ -136,10 +136,11 @@ const stuckSteps = math.MinInt32
 // therefore exactly the region states that reach a region cycle, and
 // cycleWitness extracts a concrete cycle from them.
 //
-// Each frame is 8 bytes (state, next edge position); on an acyclic region
-// the stack is at most WorstSteps+1 deep, and the span reports the peak
-// depth as its Frontier. The walk is sequential at every worker count;
-// only the region scan before it is sharded.
+// Each frame is 12 bytes (state, next and end edge positions, resolved
+// once when it is pushed); on an acyclic region the stack is at most
+// WorstSteps+1 deep, and the span reports the peak depth as its
+// Frontier. The walk is sequential at every worker count; only the
+// region scan before it is sharded.
 //
 // The returned steps table (valid only when res.Converges) is the exact
 // variant function of the paper's Section 8: it strictly decreases on every
@@ -167,8 +168,8 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 	}
 
 	type frame struct {
-		state int32
-		next  uint32 // position in edges of the next edge to examine
+		state     int32
+		next, end uint32 // the state's unexamined edges in its chunk's row
 	}
 	var (
 		stack    []frame
@@ -178,21 +179,23 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 		sum      int64
 		cyclic   bool
 	)
-	off, edges, inS := sp.idx.offsets, sp.idx.edges, sp.inS
+	g, inS := sp.idx, sp.inS
 	for root := int64(0); root < sp.Count; root++ {
 		if !sp.region(root) || steps[root] != 0 {
 			continue
 		}
 		steps[root] = -1
-		stack = append(stack, frame{state: int32(root), next: off[root]})
+		lo, hi := g.row(root)
+		stack = append(stack, frame{state: int32(root), next: lo, end: hi})
 		peak = max(peak, 1)
 	walk:
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			v := f.state
 			acc := steps[v]
-			for e, end := f.next, off[v+1]; e < end; e++ {
-				j := edges[e]
+			row := g.edges[v>>chunkShift]
+			for e := f.next; e < f.end; e++ {
+				j := row[e]
 				if inS.get(int64(j)) {
 					acc = min(acc, -2)
 					continue
@@ -206,7 +209,8 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 				default:
 					steps[v], f.next = acc, e+1
 					steps[j] = -1
-					stack = append(stack, frame{state: j, next: off[j]})
+					lo, hi := g.row(int64(j))
+					stack = append(stack, frame{state: j, next: lo, end: hi})
 					peak = max(peak, len(stack))
 					continue walk
 				}

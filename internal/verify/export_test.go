@@ -1,6 +1,9 @@
 package verify
 
-import "context"
+import (
+	"context"
+	"unsafe"
+)
 
 // SetSuccIndexBudget overrides the in-RAM CSR budget for the duration of
 // a test, returning a restore function. A tiny budget refuses every
@@ -22,8 +25,12 @@ func SetSpoolRunEntries(n int) (restore func()) {
 	return func() { spoolRunEntries = old }
 }
 
-// CSRFits exposes the CSR addressing-limit check for synthetic counts.
-func CSRFits(count, edges int64) error { return csrFits(count, edges) }
+// CSRFits exposes the CSR addressing-limit checks for synthetic counts:
+// the forward index's, for a program of nA actions, and the reverse
+// index's, for E edges.
+func CSRFits(count int64, nA int, edges int64) (fwd, rev error) {
+	return fwdFits(count, nA), csrFits(count, edges)
+}
 
 // SuccIndexStats returns the enabled-edge count and byte size of the
 // forward CSR index.
@@ -49,10 +56,38 @@ func (sp *Space) ReverseIndex() (revOff []uint32, revPred []int32, err error) {
 // SweepSpillDir runs the crash-leftover sweep on dir, for tests.
 func SweepSpillDir(dir string) { sweepSpillLeftovers(dir) }
 
-// ForwardCSR exposes the forward CSR arrays (offsets and edges) for
-// byte-identity assertions against an independent encoder.
+// ForwardCSR flattens the chunk-owned forward CSR into one global
+// offsets/edges pair, for byte-identity assertions against an
+// independent encoder.
 func (sp *Space) ForwardCSR() (offsets []uint32, edges []int32) {
-	return sp.idx.offsets, sp.idx.edges
+	offsets = make([]uint32, 0, sp.Count+1)
+	for i := int64(0); i < sp.Count; i++ {
+		offsets = append(offsets, uint32(len(edges)))
+		edges = append(edges, sp.idx.out(i)...)
+	}
+	return append(offsets, uint32(len(edges))), edges
+}
+
+// Membership exposes the packed S and T bitsets.
+func (sp *Space) Membership() (inS, inT []uint64) { return sp.inS, sp.inT }
+
+// SpillChunksInOrder reports whether a spill-tier space's chunks lie in
+// its edge segment in index order. The walk writes each chunk where the
+// running edge total puts it when the chunk finishes, so at several
+// workers they usually do not.
+func (sp *Space) SpillChunksInOrder() bool {
+	var last uintptr
+	for _, e := range sp.idx.edges {
+		if len(e) == 0 {
+			continue
+		}
+		if p := uintptr(unsafe.Pointer(&e[0])); p > last {
+			last = p
+		} else {
+			return false
+		}
+	}
+	return true
 }
 
 // RandomProgram exposes the metatheorem suite's random transition-system

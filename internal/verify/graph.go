@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"unsafe"
 
 	"nonmask/internal/program"
@@ -17,25 +18,23 @@ import (
 
 // succIndexBudget caps the memory spent on each in-RAM transition index
 // (the forward CSR, and separately the reverse CSR mirroring it). The
-// budget is charged against the *actual* enabled-edge count E discovered
-// by the counting sweep:
+// walk charges the forward index as it grows, E being the edges so far:
 //
-//	forward bytes = 4·(Count+1) + 4·E   (uint32 offsets + int32 targets)
+//	forward bytes = 4·(Count+nChunks) + 4·E   (uint32 offsets + int32 targets)
 //
-// An in-RAM tier above it is refused with errOverBudget, which is the
-// SpaceAuto ladder's cue to escalate; the spill tier keeps its arrays in
-// mmap'd segment files and is bounded by the disk instead. A var rather
-// than a const so tests can force the escalation (see export_test.go).
+// An in-RAM tier is refused with errOverBudget the moment it passes the
+// budget, the SpaceAuto ladder's cue to escalate; the spill tier is
+// bounded by the disk instead. A var so tests can force the escalation.
 var succIndexBudget = int64(1) << 31 // 2 GiB per index
 
-// errOverBudget marks an in-RAM tier refused because its measured CSR
-// busts succIndexBudget.
+// errOverBudget marks an in-RAM tier refused because its CSR busts
+// succIndexBudget.
 var errOverBudget = errors.New("verify: CSR over the in-RAM budget")
 
 // csrFits refuses a CSR its fixed-width arrays cannot address: state ids
-// are int32, and forward and reverse offsets are uint32 positions in an
-// edge array of E entries. Past either limit the fill would truncate
-// silently into a corrupt graph.
+// are int32, and offsets are uint32 positions in an edge array of edges
+// entries — all E for the reverse index, one chunk's for the forward
+// one (fwdFits). Past either limit the build would silently corrupt.
 func csrFits(count, edges int64) error {
 	if count > math.MaxInt32 {
 		return fmt.Errorf("verify: %d states exceed the CSR's int32 state ids", count)
@@ -46,24 +45,31 @@ func csrFits(count, edges int64) error {
 	return nil
 }
 
+// fwdFits is csrFits for the forward index of nA actions: its offsets
+// address at most chunkStates·nA edges, whatever E is.
+func fwdFits(count int64, nA int) error { return csrFits(count, chunkStates*int64(nA)) }
+
 // succIndex is the CSR transition graph of a Space, covering only enabled
-// transitions: state i's successors are edges[offsets[i]:offsets[i+1]], in
-// ascending action order. The entry payload is the 4-byte successor index
-// alone — the acting action is implicit as the edge's rank among i's
-// enabled guards and is recovered by actionAt only on witness paths, so
-// edge storage stays at 4 bytes even for near-dense programs.
+// transitions in ascending action order, owned chunk by chunk: chunk c,
+// states [lo, hi), keeps its edges in edges[c] and its offsets, relative
+// to that slice, in off[lo+c : hi+c+1] (one sentinel per chunk). The
+// entry payload is the 4-byte successor index alone — the acting
+// action is implicit as the edge's rank among i's enabled guards and is
+// recovered by actionAt only on witness paths, so edge storage stays at
+// 4 bytes even for near-dense programs.
 //
-// The reverse CSR (predecessors, multi-edges kept) is built lazily by
-// predIndex when a metrics pass first walks backwards, and cached here;
-// derived stage spaces share the struct by pointer, so one Check builds
-// it at most once.
+// The reverse CSR (predecessors, multi-edges kept, global offsets) is
+// built lazily by predIndex when a metrics pass first walks backwards,
+// and cached here; derived stage spaces share the struct by pointer, so
+// one Check builds it at most once.
 //
-// On the spill tier both CSRs view mmap'd segment files (sealed read-only
-// after their fill sweeps) instead of heap slices; the owning Space's
-// arena unmaps them at Close.
+// On the spill tier both CSRs view mmap'd segment files, read-only once
+// built, instead of heap slices; the owning Space's arena unmaps them at
+// Close.
 type succIndex struct {
-	offsets []uint32 // len Count+1
-	edges   []int32  // successor state per enabled (state, action)
+	off   []uint32  // len Count+nChunks, chunk-relative
+	edges [][]int32 // per chunk: successor state per enabled (state, action)
+	n     int64     // E, the number of enabled edges
 
 	revMu   sync.Mutex
 	revOff  []uint32 // len Count+1; nil until built
@@ -73,161 +79,184 @@ type succIndex struct {
 // out returns the successor indices of state i, one per enabled action in
 // action order.
 func (g *succIndex) out(i int64) []int32 {
-	return g.edges[g.offsets[i]:g.offsets[i+1]]
+	lo, hi := g.row(i)
+	return g.edges[i>>chunkShift][lo:hi]
+}
+
+// row returns the bounds of state i's successors in its chunk's edges.
+func (g *succIndex) row(i int64) (lo, hi uint32) {
+	k := i + i>>chunkShift
+	return g.off[k], g.off[k+1]
 }
 
 // numEdges returns E, the number of enabled transitions in the space.
-func (g *succIndex) numEdges() int64 { return int64(len(g.edges)) }
+func (g *succIndex) numEdges() int64 { return g.n }
 
 // fwdBytes is the forward index's memory footprint.
-func (g *succIndex) fwdBytes() int64 {
-	return 4*int64(len(g.offsets)) + 4*int64(len(g.edges))
-}
+func (g *succIndex) fwdBytes() int64 { return 4*int64(len(g.off)) + 4*g.n }
 
-// buildSuccIndex constructs the forward CSR in two sharded sweeps with no
-// per-edge atomics: sweep 1 counts enabled guards per chunk, a sequential
-// prefix sum over the per-chunk totals assigns each chunk a disjoint slice
-// of the edge array, and sweep 2 fills offsets and edges with a per-chunk
-// local cursor. Between the sweeps the measured edge count decides: an
-// in-RAM tier over succIndexBudget is refused with errOverBudget, and any
-// tier past the limits of csrFits with a plain error. On the spill tier
-// the arrays are allocated as mmap'd segment files, filled, and sealed
-// read-only.
+// build is the one walk over the space: each chunk of one parallelRange
+// sets its S and T bits and appends its edges to a per-worker buffer,
+// then hands them over, cloned in RAM or, on the spill tier, written to
+// one edge segment at a position reserved from the atomic running edge
+// total and mapped read-only once the walk ends. In RAM that total
+// cancels the walk with errOverBudget the moment the index passes
+// succIndexBudget, before it is materialized.
 //
-// Both sweeps work from the actions' footprints through a per-worker
-// succMemo: after an odometer step only the actions whose footprint the
-// step changed have their guard re-evaluated and, in the fill sweep
-// outside quotient mode, their successor re-encoded from their declared
-// writes (Codec.Successor) as an index delta. Every other enabled
-// action's edge is the state's index plus its memoized delta. Neither
-// footprint is taken on faith: at each chunk's last state the counting
-// sweep compares every memoized guard, and the fill sweep every memoized
-// successor, with a fresh evaluation, and the fill sweep re-encodes the
-// walked state at every state where a body ran to prove the bodies
-// touched nothing but their writes. A failed check refuses the space with
-// an error naming the action.
-func (sp *Space) buildSuccIndex(ctx context.Context) error {
+// Outside quotient mode a per-worker succMemo re-evaluates after each
+// odometer step only the actions whose footprint the step changed; every
+// other enabled action's edge is the state's index plus its memoized
+// delta. The footprints are checked, not trusted: at each chunk's last
+// state by a fresh evaluation (stale), and by re-encoding the walked
+// state wherever a body ran. A broken S⇒T is reported first, then an
+// undeclared read, then an undeclared write.
+func (sp *Space) build(ctx context.Context) error {
 	f, err := newFootprints(sp.P)
 	if err != nil {
 		return err
 	}
-	// The progress hint is 2·Count: the counting sweep and the fill sweep
-	// each visit every state once.
-	span := startPass(sp.opts, PassSuccTable, 2*sp.Count)
+	if err := fwdFits(sp.Count, sp.nA); err != nil {
+		return err
+	}
+	span := startPass(sp.opts, PassSuccTable, sp.Count)
 	workers := sp.workers()
 	nChunks := (sp.Count + chunkStates - 1) / chunkStates
-	chunkBase := make([]int64, nChunks)
-	pairs := sp.newStatePairs()
-	memos := make([]*succMemo, workers)
-	for w := range memos {
-		memos[w] = newSuccMemo(f)
-	}
-	staleGuard := newWitness()
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st, m := pairs[worker].st, memos[worker]
-		m.clear()
-		var enabled, n int64
-		for i := lo; i < hi; i++ {
-			enabled += m.advance(f, st, sp.walkInto(lo, i, st))
-			n += enabled
-		}
-		if a := m.staleGuard(f, st); a >= 0 {
-			staleGuard.offer(hi-1, int64(a))
-		}
-		chunkBase[lo/chunkStates] = n
-	})
-	if err != nil {
-		return err
-	}
-	if staleGuard.found() {
-		return sp.undeclaredRead(staleGuard, "guard")
-	}
-	var total int64
-	for c := range chunkBase {
-		chunkBase[c], total = total, total+chunkBase[c]
-	}
-	if bytes := 4*(sp.Count+1) + 4*total; sp.arena == nil && bytes > succIndexBudget {
-		// Surface the measured edge count on the span (bytes 0 = nothing
-		// materialized) before refusing the tier.
-		span.endSized(sp.Count, total, 0)
-		return fmt.Errorf("%w: %d edges over %d states need %d bytes, budget %d",
-			errOverBudget, total, sp.Count, bytes, succIndexBudget)
-	}
-	if err := csrFits(sp.Count, total); err != nil {
-		return err
-	}
-	g := &succIndex{}
+	offBytes := 4 * (sp.Count + nChunks)
+	g := &succIndex{edges: make([][]int32, nChunks)}
+	var (
+		edgeSeg *spillSeg
+		at      []int64 // spill tier: each chunk's first position in edgeSeg
+	)
 	if sp.arena != nil {
-		offSeg, err := sp.arena.allocSegment(4 * (sp.Count + 1))
+		offSeg, err := sp.arena.allocSegment(offBytes)
 		if err != nil {
 			return err
 		}
-		edgeSeg, err := sp.arena.allocSegment(4 * total)
-		if err != nil {
+		defer offSeg.seal()
+		if edgeSeg, err = sp.arena.openSegment(); err != nil {
 			return err
 		}
-		g.offsets, g.edges = u32view(offSeg.data), i32view(edgeSeg.data)
-		defer func() { offSeg.seal(); edgeSeg.seal() }()
+		g.off, at = u32view(offSeg.data), make([]int64, nChunks)
 	} else {
-		g.offsets, g.edges = make([]uint32, sp.Count+1), make([]int32, total)
+		g.off = make([]uint32, sp.Count+nChunks)
 	}
-	unrestored, staleSucc := newWitness(), newWitness()
-	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st, tmp, m := pairs[worker].st, pairs[worker].tmp, memos[worker]
-		cur := chunkBase[lo/chunkStates]
-		if sp.quot != nil {
-			// Representatives are decoded, not walked, and every
-			// successor is canonicalized from a full copy.
-			for i := lo; i < hi; i++ {
-				sp.stateInto(i, st)
-				m.advance(f, st, 0)
-				g.offsets[i] = uint32(cur)
-				for w, word := range m.on {
-					for ; word != 0; word &= word - 1 {
-						f.acts[w<<6|bits.TrailingZeros64(word)].ApplyInto(st, tmp)
-						g.edges[cur] = int32(sp.indexOf(tmp))
-						cur++
-					}
-				}
+
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var total, visited atomic.Int64
+	commit := func(c, states int64, buf []int32) {
+		n := int64(len(buf))
+		e, seen := total.Add(n), visited.Add(states)
+		if edgeSeg != nil {
+			at[c] = e - n
+			if _, err := edgeSeg.f.WriteAt(asBytes(buf), 4*(e-n)); err != nil {
+				cancel(fmt.Errorf("verify: spill segment write: %w", err))
 			}
 			return
 		}
+		if bytes := offBytes + 4*e; bytes > succIndexBudget {
+			cancel(fmt.Errorf("%w: %d edges over %d of %d states need %d bytes, budget %d",
+				errOverBudget, e, seen, sp.Count, bytes, succIndexBudget))
+			return
+		}
+		g.edges[c] = slices.Clone(buf)
+	}
+
+	pairs := sp.newStatePairs()
+	memos := make([]*succMemo, workers)
+	bufs := make([][]int32, workers)
+	for w := range memos {
+		memos[w] = newSuccMemo(f)
+	}
+	sNotT, stale, unrestored := newWitness(), newWitness(), newWitness()
+	err = parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
+		st, tmp, m := pairs[worker].st, pairs[worker].tmp, memos[worker]
+		c := lo >> chunkShift
+		off, buf := g.off[lo+c:hi+c+1], bufs[worker][:0]
+		lost := false
 		for i := lo; i < hi; i++ {
-			ran := m.fill(f, sp.codec, st, i, sweepInto(sp.codec, lo, i, st))
-			g.offsets[i] = uint32(cur)
-			cur += m.emit(i, g.edges[cur:])
+			v := sp.walkInto(lo, i, st)
+			s, t := sp.S.Holds(st), sp.T.Holds(st)
+			if s {
+				sp.inS.set(i)
+			}
+			if t {
+				sp.inT.set(i)
+			}
+			if s && !t {
+				sNotT.offer(i, 0)
+			}
+			if lost {
+				continue
+			}
+			off[i-lo] = uint32(len(buf))
+			if sp.quot != nil {
+				for _, act := range f.acts {
+					if act.Guard(st) {
+						act.ApplyInto(st, tmp)
+						buf = append(buf, int32(sp.indexOf(tmp)))
+					}
+				}
+				continue
+			}
+			ran := m.fill(f, sp.codec, st, i, v)
+			buf = m.emit(i, buf)
 			if ran && sp.codec.Encode(st) != i {
-				// The walk is off its index; the rest of the chunk is lost.
+				// Off its index, the chunk keeps only S and T from here.
 				unrestored.offer(i, 0)
-				return
+				sp.codec.Decode(i, st)
+				lost = true
 			}
 		}
-		if a := m.staleSucc(f, sp.codec, st, hi-1); a >= 0 {
-			staleSucc.offer(hi-1, int64(a))
+		bufs[worker] = buf
+		if lost {
+			return
 		}
-		if sp.codec.Encode(st) != hi-1 {
-			unrestored.offer(hi-1, 0)
+		off[hi-lo] = uint32(len(buf))
+		if sp.quot == nil {
+			if a := m.stale(f, sp.codec, st, hi-1); a >= 0 {
+				stale.offer(hi-1, int64(a))
+			}
+			if sp.codec.Encode(st) != hi-1 {
+				unrestored.offer(hi-1, 0)
+			}
 		}
+		commit(c, hi-lo, buf)
 	})
 	if err != nil {
+		if err = context.Cause(ctx); errors.Is(err, errOverBudget) {
+			// Surface the edge count reached on the span (bytes 0 =
+			// nothing materialized) before refusing the tier.
+			span.endSized(visited.Load(), total.Load(), 0)
+		}
 		return err
 	}
-	if unrestored.found() {
+	switch {
+	case sNotT.found():
+		return fmt.Errorf("verify: S does not imply T at state %s", sp.State(sNotT.state))
+	case stale.found():
+		return sp.undeclaredRead(stale)
+	case unrestored.found():
 		return sp.undeclaredWrite(f, unrestored.state)
 	}
-	if staleSucc.found() {
-		return sp.undeclaredRead(staleSucc, "successor")
-	}
-	g.offsets[sp.Count] = uint32(total)
-	sp.idx = g
-	if sp.arena != nil {
+	g.n = total.Load()
+	if edgeSeg != nil {
+		if err := sp.arena.mapSegment(edgeSeg, 4*g.n, syscall.PROT_READ); err != nil {
+			return err
+		}
+		view := i32view(edgeSeg.data)
+		for c := range g.edges {
+			hi := min(int64(c+1)*chunkStates, sp.Count)
+			g.edges[c] = view[at[c] : at[c]+int64(g.off[hi+int64(c)])]
+		}
 		span.addSpilled(g.fwdBytes())
 	}
-	span.endSized(sp.Count, total, g.fwdBytes())
+	sp.idx = g
+	span.endSized(sp.Count, g.n, g.fwdBytes())
 	return nil
 }
 
-// footprints is buildSuccIndex's plan of a program's declared reads and
+// footprints is build's plan of a program's declared reads and
 // writes. byTop lists the action ids by their highest footprint variable
 // (Reads ∪ Writes), descending, and upTo[v] counts those whose highest
 // one is ≥ v: an odometer step that changed positions [v, n) can change
@@ -274,14 +303,13 @@ func newFootprints(p *program.Program) (*footprints, error) {
 	return f, nil
 }
 
-// succMemo is one worker's memo of every action along an ascending sweep:
-// bit a of on is action a's guard at the current state and, while it is
-// set, delta[a] is the action's successor index minus the state's (kept
-// by the fill sweep only). It trusts the declared footprints (see
-// footprints); staleGuard and staleSucc are the spot checks of that
-// trust. Each worker's arrays are allocated with a cache line of unused
-// capacity behind them (workerScratch), so two workers' memos never
-// share a cache line.
+// succMemo is one worker's memo of every action along an ascending
+// odometer walk: bit a of on is action a's guard at the current state
+// and, while it is set, delta[a] is the action's successor index minus
+// the state's. It trusts the declared footprints (see footprints); stale
+// is the spot check of that trust. Each worker's arrays are allocated
+// with a cache line of unused capacity behind them (workerScratch), so
+// two workers' memos never share a cache line.
 type succMemo struct {
 	on    []uint64
 	delta []int64
@@ -296,46 +324,17 @@ func newSuccMemo(f *footprints) *succMemo {
 	}
 }
 
-// clear drops every memoized guard, for a chunk whose first state
-// re-evaluates them all.
-func (m *succMemo) clear() { clear(m.on) }
-
-// set records action a's guard g and returns the change it makes to the
-// number of enabled actions.
-func (m *succMemo) set(a int32, g bool) int64 {
-	w, bit := a>>6, uint64(1)<<(a&63)
-	was := m.on[w]&bit != 0
-	switch {
-	case g == was:
-		return 0
-	case g:
-		m.on[w] |= bit
-		return 1
-	default:
-		m.on[w] &^= bit
-		return -1
-	}
-}
-
-// advance brings the memo's guards to st after a step that changed
-// positions [v, n) — v = 0 for a decoded state re-evaluates every guard —
-// and returns the change in the number of enabled actions.
-func (m *succMemo) advance(f *footprints, st *program.State, v int) (dn int64) {
-	for _, a := range f.byTop[:f.upTo[v]] {
-		dn += m.set(a, f.acts[a].Guard(st))
-	}
-	return dn
-}
-
-// fill is advance for the fill sweep at full index i: each action whose
-// footprint the step changed also has its successor delta re-encoded
-// when its guard holds. It reports whether any body ran.
+// fill brings the memo to st, full index i, after a step that changed
+// positions [v, n) — v = 0 for a decoded state re-evaluates every
+// action: each action whose footprint the step changed has its guard
+// re-evaluated and, when it holds, its successor delta re-encoded. It
+// reports whether any body ran.
 func (m *succMemo) fill(f *footprints, c *program.Codec, st *program.State, i int64, v int) (ran bool) {
 	for _, a := range f.byTop[:f.upTo[v]] {
-		act := f.acts[a]
-		g := act.Guard(st)
-		m.set(a, g)
-		if g {
+		act, w, bit := f.acts[a], a>>6, uint64(1)<<(a&63)
+		m.on[w] &^= bit
+		if act.Guard(st) {
+			m.on[w] |= bit
 			m.delta[a] = c.Successor(act, st, i, m.save) - i
 			ran = true
 		}
@@ -343,38 +342,38 @@ func (m *succMemo) fill(f *footprints, c *program.Codec, st *program.State, i in
 	return ran
 }
 
-// emit writes the successor of state i for every enabled action, in
-// ascending action order, to dst and returns how many it wrote.
-func (m *succMemo) emit(i int64, dst []int32) int64 {
-	k := 0
+// emit appends the successor of state i for every enabled action, in
+// ascending action order, to dst.
+func (m *succMemo) emit(i int64, dst []int32) []int32 {
 	for w, word := range m.on {
 		for ; word != 0; word &= word - 1 {
-			dst[k] = int32(i + m.delta[w<<6|bits.TrailingZeros64(word)])
-			k++
+			dst = append(dst, int32(i+m.delta[w<<6|bits.TrailingZeros64(word)]))
 		}
 	}
-	return int64(k)
+	return dst
 }
 
-// staleGuard returns the first action whose memoized guard differs from
-// a fresh evaluation at st, or -1.
-func (m *succMemo) staleGuard(f *footprints, st *program.State) int {
+// stale is the chunk-end spot check of the memo at st, full index i. It
+// returns the first action whose memoized guard differs from a fresh
+// evaluation, else nA plus the first enabled action whose memoized
+// successor differs from a fresh Codec.Successor, else -1. It stops
+// with -1 at a body that leaves st changed: the write check that
+// follows names that one.
+func (m *succMemo) stale(f *footprints, c *program.Codec, st *program.State, i int64) int {
 	for a, act := range f.acts {
 		if act.Guard(st) != (m.on[a>>6]&(1<<(a&63)) != 0) {
 			return a
 		}
 	}
-	return -1
-}
-
-// staleSucc returns the first enabled action whose memoized successor
-// differs from a fresh Codec.Successor at st, full index i, or -1.
-func (m *succMemo) staleSucc(f *footprints, c *program.Codec, st *program.State, i int64) int {
 	for w, word := range m.on {
 		for ; word != 0; word &= word - 1 {
 			a := w<<6 | bits.TrailingZeros64(word)
-			if c.Successor(f.acts[a], st, i, m.save) != i+m.delta[a] {
-				return a
+			d := c.Successor(f.acts[a], st, i, m.save)
+			if c.Encode(st) != i {
+				return -1
+			}
+			if d != i+m.delta[a] {
+				return len(f.acts) + a
 			}
 		}
 	}
@@ -392,12 +391,16 @@ func workerScratch[T any](n int) []T {
 // cacheLine is the false-sharing unit workerScratch pads by.
 const cacheLine = 64
 
-// undeclaredRead refuses the space for the action a spot check caught
-// (w.extra) at state w.state: its memoized guard or successor (what)
-// differs from a fresh evaluation, so it reads a variable outside its
-// declared Reads.
-func (sp *Space) undeclaredRead(w *witness, what string) error {
-	a := sp.P.Actions[w.extra]
+// undeclaredRead refuses the space for the action the spot check caught
+// at state w.state (w.extra, as stale returns it): its memoized guard or
+// successor differs from a fresh evaluation, so it reads a variable
+// outside its declared Reads.
+func (sp *Space) undeclaredRead(w *witness) error {
+	what, k := "guard", int(w.extra)
+	if k >= sp.nA {
+		what, k = "successor", k-sp.nA
+	}
+	a := sp.P.Actions[k]
 	names := make([]string, len(a.Reads))
 	for k, id := range a.Reads {
 		names[k] = sp.P.Schema.Spec(id).Name
@@ -440,8 +443,11 @@ func (sp *Space) predIndex(ctx context.Context) (revOff []uint32, revPred []int3
 	if g.revOff != nil {
 		return g.revOff, g.revPred, nil
 	}
-	span := startPass(sp.opts, PassPredTable, sp.Count)
 	E := g.numEdges()
+	if err := csrFits(sp.Count, E); err != nil {
+		return nil, nil, err
+	}
+	span := startPass(sp.opts, PassPredTable, sp.Count)
 
 	var seal func()
 	if sp.arena != nil {
@@ -480,10 +486,10 @@ func (sp *Space) buildPredScatter(ctx context.Context, revOff []uint32, revPred 
 	g := sp.idx
 	workers := sp.workers()
 
-	// Phase 1: atomic in-degree counts.
+	// Phase 1: atomic in-degree counts, one forward chunk per range.
 	deg := make([]int32, sp.Count)
-	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
-		for _, j := range g.edges[g.offsets[lo]:g.offsets[hi]] {
+	err := parallelRange(ctx, workers, sp.Count, sp.opts.Progress, func(_ int, lo, _ int64) {
+		for _, j := range g.edges[lo>>chunkShift] {
 			atomic.AddInt32(&deg[j], 1)
 		}
 	})

@@ -191,34 +191,47 @@ func TestSpaceLadderMetamorphic(t *testing.T) {
 }
 
 // TestCSRLimits pins the CSR's addressing limits on synthetic counts:
-// int32 state ids and uint32 offsets. A tier past either is refused with
-// the offending count named, never truncated into a corrupt graph.
+// int32 state ids in both indexes, uint32 offsets relative to one chunk
+// in the forward index (at most 2^14 states times nA actions of edges)
+// and global in the reverse index (E edges). The forward index is thus
+// not capped by E. A tier past a limit is refused with the offending
+// count named, never truncated into a corrupt graph.
 func TestCSRLimits(t *testing.T) {
 	for _, c := range []struct {
-		count, edges int64
-		want         string // "" = fits
+		count    int64
+		nA       int
+		edges    int64
+		fwd, rev string // "" = fits
 	}{
-		{math.MaxInt32, math.MaxUint32, ""},
-		{math.MaxInt32 + 1, 0, "2147483648 states"},
-		{1 << 20, math.MaxUint32 + 1, "4294967296 edges"},
+		{math.MaxInt32, 1<<18 - 1, math.MaxUint32, "", ""},
+		{math.MaxInt32 + 1, 1, 0, "2147483648 states", "2147483648 states"},
+		{1 << 20, 4, math.MaxUint32 + 1, "", "4294967296 edges"},
+		{1 << 20, 1 << 18, 0, "4294967296 edges", ""},
 	} {
-		err := verify.CSRFits(c.count, c.edges)
-		if c.want == "" {
-			if err != nil {
-				t.Errorf("CSRFits(%d, %d) = %v, want nil", c.count, c.edges, err)
+		fwd, rev := verify.CSRFits(c.count, c.nA, c.edges)
+		for _, r := range []struct {
+			index string
+			err   error
+			want  string
+		}{{"forward", fwd, c.fwd}, {"reverse", rev, c.rev}} {
+			if r.want == "" {
+				if r.err != nil {
+					t.Errorf("%s CSRFits(%d, %d, %d) = %v, want nil", r.index, c.count, c.nA, c.edges, r.err)
+				}
+				continue
 			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("CSRFits(%d, %d) = %v, want an error naming %q", c.count, c.edges, err, c.want)
+			if r.err == nil || !strings.Contains(r.err.Error(), r.want) {
+				t.Errorf("%s CSRFits(%d, %d, %d) = %v, want an error naming %q", r.index, c.count, c.nA, c.edges, r.err, r.want)
+			}
 		}
 	}
 }
 
 // TestOverBudgetRefusal pins the two ways an over-budget CSR fails
 // instead of escalating: a forced full tier, and an auto ladder whose
-// spill rung cannot open its arena. Both errors name the measured edge
-// count and the budget.
+// spill rung cannot open its arena. Both errors name the edge count the
+// walk had reached at refusal (the whole space here: it is one chunk)
+// and the budget.
 func TestOverBudgetRefusal(t *testing.T) {
 	inst, err := tokenring.NewRing(3, 4)
 	if err != nil {

@@ -8,11 +8,14 @@ import (
 	"nonmask/internal/obs"
 )
 
-// chunkStates is the work-stealing grain of the sharded passes. It is a
-// multiple of 64 so that two workers filling the same bitset from
-// different chunks never write the same word (see bitset's concurrency
-// contract).
-const chunkStates = 1 << 14
+// chunkStates is the work-stealing grain of the sharded passes, and the
+// grain the forward CSR is owned by (succIndex). It is a multiple of 64
+// so that two workers filling the same bitset from different chunks
+// never write the same word (see bitset's concurrency contract).
+const (
+	chunkShift  = 14
+	chunkStates = 1 << chunkShift
+)
 
 // parallelRange runs fn over [0, n) split into chunkStates-sized chunks,
 // handed out to `workers` goroutines through an atomic cursor. fn receives

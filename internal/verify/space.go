@@ -96,15 +96,15 @@ type Space struct {
 
 // NewSpaceContext enumerates the program's state space and evaluates S
 // and T at every state, failing if the space exceeds opts.MaxStates.
-// Enumeration, predicate evaluation and successor-table construction are
-// sharded across opts.Workers goroutines and poll ctx between chunks.
+// One walk evaluates the predicates and builds the successor table,
+// sharded across opts.Workers goroutines and polling ctx between chunks.
 // Most callers want Check instead; NewSpaceContext is for follow-up
 // passes on a space without a full verdict bundle.
 //
 // The space-mode ladder (DESIGN §13) resolves here. Explicit modes force
 // their tier, and a forced in-RAM tier whose CSR busts succIndexBudget is
-// refused. SpaceAuto tries the full in-RAM space first and, when the
-// measured edge set busts the budget, escalates to the symmetry quotient
+// refused. SpaceAuto tries the full in-RAM space first and, as soon as
+// the walk's edge set busts the budget, escalates to the symmetry quotient
 // (if a Symmetry is advertised), then to the spill tier in opts.SpillDir
 // (os.TempDir() when empty). MaxStates always bounds the full-product
 // count — enumeration visits every full state once even in quotient mode.
@@ -162,8 +162,8 @@ func NewSpaceContext(ctx context.Context, p *program.Program, S, T *program.Pred
 	return newSpace(ctx, p, S, T, opts, SpaceSpill, codec, q, arena)
 }
 
-// newSpace builds one tier: enumerate (over representatives in quotient
-// mode), evaluate S/T, build the CSR (arena-backed in spill mode). Every
+// newSpace builds one tier in one walk (build): S and T and the CSR, over
+// representatives in quotient mode, arena-backed in spill mode. Every
 // tier of one NewSpaceContext call shares the codec built there. The
 // space owns arena; it is closed here if the tier cannot be built.
 func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, opts Options,
@@ -188,33 +188,7 @@ func newSpace(ctx context.Context, p *program.Program, S, T *program.Predicate, 
 		inS: newBitset(count),
 		inT: newBitset(count),
 	}
-	w := newWitness()
-	scr := sp.newStates()
-	span := startPass(opts, PassEnumerate, count)
-	err = parallelRange(ctx, sp.workers(), count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
-		for i := lo; i < hi; i++ {
-			sp.walkInto(lo, i, st)
-			s, t := S.Holds(st), T.Holds(st)
-			if s {
-				sp.inS.set(i)
-			}
-			if t {
-				sp.inT.set(i)
-			}
-			if s && !t {
-				w.offer(i, 0)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if w.found() {
-		return nil, fmt.Errorf("verify: S does not imply T at state %s", sp.State(w.state))
-	}
-	span.end(count)
-	if err := sp.buildSuccIndex(ctx); err != nil {
+	if err := sp.build(ctx); err != nil {
 		return nil, err
 	}
 	return sp, nil
@@ -359,15 +333,6 @@ func (sp *Space) weightedCountAndNot(b, not bitset) int64 {
 	return sum
 }
 
-// newStates allocates one scratch state per worker.
-func (sp *Space) newStates() []*program.State {
-	scr := make([]*program.State, sp.workers())
-	for i := range scr {
-		scr[i] = sp.P.Schema.NewScratchState()
-	}
-	return scr
-}
-
 // statePair is a worker's scratch pair: st holds the decoded current
 // state, tmp the successor produced by ApplyInto.
 type statePair struct{ st, tmp *program.State }
@@ -385,9 +350,9 @@ func (sp *Space) evalPred(ctx context.Context, pred *program.Predicate) (bitset,
 		fillBitset(bits, sp.Count)
 		return bits, nil
 	}
-	scr := sp.newStates()
+	scr := sp.newStatePairs()
 	err := parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(worker int, lo, hi int64) {
-		st := scr[worker]
+		st := scr[worker].st
 		for i := lo; i < hi; i++ {
 			sp.walkInto(lo, i, st)
 			if pred.Eval(st) {

@@ -19,8 +19,8 @@ import (
 
 // The spill tier (DESIGN §13). When an instance's CSR does not fit the
 // in-RAM budget, the index arrays are written to anonymous temp files in
-// the spill directory, mmap'd read-write for the fill sweeps, and
-// remapped read-only for the passes — converge/leads_to/stair then stream
+// the spill directory, chunk by chunk as the walk finishes them, and
+// mapped read-only for the passes — converge/leads_to/stair then stream
 // edges at page-cache/disk bandwidth instead of recomputing guards. BFS
 // frontiers that outgrow their run threshold overflow to sorted temp-file
 // runs drained by a streaming k-way merge.
@@ -141,37 +141,51 @@ func (ar *spillArena) tempFile() (f *os.File, path string, err error) {
 	return f, path, nil
 }
 
-// allocSegment creates an n-byte segment file and maps it read-write. The
-// caller fills it and then seals it read-only.
-func (ar *spillArena) allocSegment(n int64) (*spillSeg, error) {
+// openSegment creates an empty, unmapped segment file owned by the
+// arena, for a caller that writes it (WriteAt) and then maps it.
+func (ar *spillArena) openSegment() (*spillSeg, error) {
 	f, path, err := ar.tempFile()
 	if err != nil {
 		return nil, err
 	}
 	seg := &spillSeg{f: f, path: path}
-	if n > 0 {
-		if err := f.Truncate(n); err != nil {
-			seg.discard()
-			return nil, fmt.Errorf("verify: spill segment truncate: %w", err)
-		}
-		data, err := syscall.Mmap(int(f.Fd()), 0, int(n),
-			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-		if err != nil {
-			seg.discard()
-			return nil, fmt.Errorf("verify: spill segment mmap: %w", err)
-		}
-		seg.data = data
-	}
 	ar.mu.Lock()
+	defer ar.mu.Unlock()
 	if ar.closed {
-		ar.mu.Unlock()
 		seg.discard()
 		return nil, errors.New("verify: spill arena closed")
 	}
 	ar.segs = append(ar.segs, seg)
+	return seg, nil
+}
+
+// mapSegment maps the first n bytes of seg with protection prot and
+// charges them to the arena.
+func (ar *spillArena) mapSegment(seg *spillSeg, n int64, prot int) error {
+	if n > 0 {
+		data, err := syscall.Mmap(int(seg.f.Fd()), 0, int(n), prot, syscall.MAP_SHARED)
+		if err != nil {
+			return fmt.Errorf("verify: spill segment mmap: %w", err)
+		}
+		seg.data = data
+	}
+	ar.mu.Lock()
 	ar.segBytes += n
 	ar.mu.Unlock()
-	return seg, nil
+	return nil
+}
+
+// allocSegment creates an n-byte segment file and maps it read-write. The
+// caller fills it and then seals it read-only.
+func (ar *spillArena) allocSegment(n int64) (*spillSeg, error) {
+	seg, err := ar.openSegment()
+	if err != nil {
+		return nil, err
+	}
+	if err := seg.f.Truncate(n); err != nil {
+		return nil, fmt.Errorf("verify: spill segment truncate: %w", err)
+	}
+	return seg, ar.mapSegment(seg, n, syscall.PROT_READ|syscall.PROT_WRITE)
 }
 
 // seal remaps the filled segment read-only: the pass kernels can only
@@ -247,11 +261,13 @@ func i32view(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-func int64Bytes(v []int64) []byte {
+// asBytes views v's backing array as the bytes a segment or run file
+// stores.
+func asBytes[T int32 | int64](v []T) []byte {
 	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
 // frontierSpool accumulates one BFS wave in per-worker buffers (no
@@ -316,7 +332,7 @@ func (fs *frontierSpool) flush(w int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(int64Bytes(buf)); err != nil {
+	if _, err := f.Write(asBytes(buf)); err != nil {
 		_ = f.Close()
 		if path != "" {
 			_ = os.Remove(path)
@@ -480,7 +496,7 @@ func (r *runReader) load() (bool, error) {
 		r.buf = make([]int64, n)
 	}
 	r.buf = r.buf[:n]
-	if _, err := r.f.ReadAt(int64Bytes(r.buf), r.off); err != nil {
+	if _, err := r.f.ReadAt(asBytes(r.buf), r.off); err != nil {
 		return false, fmt.Errorf("verify: frontier run read: %w", err)
 	}
 	r.off += n * 8

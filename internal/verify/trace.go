@@ -12,12 +12,11 @@ import (
 // embedded livelock analysis) emit their own spans, so a trace is the
 // full history of what the checker did, nested passes included.
 const (
-	// PassEnumerate is state-space enumeration plus S/T evaluation.
-	PassEnumerate = "enumerate"
-	// PassSuccTable is the construction of the forward CSR successor
-	// index: an edge-counting sweep plus a fill sweep. Its span carries
-	// the enabled-edge count and the index's byte size (bytes 0 when the
-	// edge set busted the in-RAM budget and the tier was refused).
+	// PassSuccTable is the one walk that builds a space: S/T evaluation
+	// plus the forward CSR successor index. Its span carries the
+	// enabled-edge count and the index's byte size (bytes 0 when the edge
+	// set busted the in-RAM budget and the tier was refused mid-walk; its
+	// states and edges are then those reached at refusal).
 	PassSuccTable = "succ_table"
 	// PassPredTable is the lazy construction of the reverse CSR
 	// (predecessor index) for the metrics passes, emitted at most once

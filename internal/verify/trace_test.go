@@ -29,10 +29,10 @@ func TestCheckEmitsPassSpans(t *testing.T) {
 	}
 
 	// A plain check runs on the forward CSR alone: no reverse index.
-	checkPassSeries(t, rep, []string{verify.PassEnumerate, verify.PassSuccTable,
-		verify.PassClosure, verify.PassConvergeUnfair}, 1)
+	checkPassSeries(t, rep, []string{verify.PassSuccTable,
+		verify.PassClosure, verify.PassConvergeUnfair}, 0)
 	// The longest-path DFS reports its peak depth.
-	if f := rep.Passes[3].Frontier; f <= 0 {
+	if f := rep.Passes[2].Frontier; f <= 0 {
 		t.Errorf("converge_unfair frontier = %d, want > 0", f)
 	}
 
@@ -71,9 +71,9 @@ func TestVariantTableComputedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPassSeries(t, rep, []string{verify.PassEnumerate, verify.PassSuccTable,
+	checkPassSeries(t, rep, []string{verify.PassSuccTable,
 		verify.PassClosure, verify.PassConvergeUnfair, verify.PassPredTable,
-		verify.PassDistanceProfile, verify.PassExpectedSteps}, 1, 4)
+		verify.PassDistanceProfile, verify.PassExpectedSteps}, 0, 3)
 	if !rep.Unfair.Converges || rep.Metrics.WorstSteps != rep.Unfair.WorstSteps ||
 		rep.Metrics.MeanWorstSteps != rep.Unfair.MeanSteps {
 		t.Fatalf("metrics worst (%d, %v) disagree with the verdict: %s",
