@@ -8,7 +8,7 @@
 //	csserved                                  # serve on 127.0.0.1:8080
 //	csserved -addr :9090 -queue 128 -executors 8
 //	csserved -store ./verdicts                # crash-safe persistent results
-//	csserved -log debug -pprof                # per-pass spans + /debug/pprof/
+//	csserved -log debug -pprof                # request logs + /debug/pprof/
 //	csserved -load -load-jobs 200 -load-clients 8   # self-benchmark
 //	csserved -peers http://a:8080,http://b:8080 -self http://a:8080 \
 //	         -cluster-token secret -store ./verdicts   # replica of a cluster
@@ -75,7 +75,7 @@ func main() {
 		recordTTL    = flag.Duration("record-ttl", 0, "finished job record retention (0 = 15m default, negative disables the sweep)")
 		storeDir     = flag.String("store", "", "persistent verdict store directory; verdicts survive restarts and warm the cache (empty = memory only)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks")
-		logLevel     = flag.String("log", "info", "structured log level on stderr: debug | info | warn | error | off (debug includes per-pass spans and request logs)")
+		logLevel     = flag.String("log", "info", "structured log level on stderr: debug | info | warn | error | off (debug includes request logs)")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service address")
 		eventHist    = flag.Int("event-history", 0, "retained events per stream for SSE replay (0 = 1024 default)")
 		eventBuf     = flag.Int("event-buffer", 0, "per-subscriber event buffer; slow consumers drop beyond it (0 = 256 default)")

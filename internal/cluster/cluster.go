@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nonmask/internal/obs"
 	"nonmask/internal/service"
 	"nonmask/internal/service/client"
 	"nonmask/internal/store"
@@ -367,11 +368,8 @@ func (c *Cluster) pullPeer(ctx context.Context, p *peer) error {
 // WriteMetrics implements service.Router: the peer layer's Prometheus
 // text metrics, appended to the service's /metrics exposition.
 func (c *Cluster) WriteMetrics(w io.Writer) {
-	line := func(name, typ, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	line("csserved_cluster_peers", "gauge", "Cluster membership size (self included).", int64(len(c.names)))
-	line("csserved_replicated_records_total", "counter", "Store records applied from peers by anti-entropy pulls.", c.replicatedRecords.Load())
-	line("csserved_replicate_rounds_total", "counter", "Completed anti-entropy rounds.", c.replicateRounds.Load())
-	line("csserved_replicate_errors_total", "counter", "Failed anti-entropy pulls (dead or lagging peers).", c.replicateErrors.Load())
+	obs.WriteScalar(w, "csserved_cluster_peers", "gauge", "Cluster membership size (self included).", int64(len(c.names)))
+	obs.WriteScalar(w, "csserved_replicated_records_total", "counter", "Store records applied from peers by anti-entropy pulls.", c.replicatedRecords.Load())
+	obs.WriteScalar(w, "csserved_replicate_rounds_total", "counter", "Completed anti-entropy rounds.", c.replicateRounds.Load())
+	obs.WriteScalar(w, "csserved_replicate_errors_total", "counter", "Failed anti-entropy pulls (dead or lagging peers).", c.replicateErrors.Load())
 }

@@ -499,6 +499,28 @@ action scan closure : (forall k in 0..3 : (c[k] <= x || k = 0)) && !(exists k in
 	}
 }
 
+// TestLoadCompilesDeadOperandsWithoutClosures bounds what loading the
+// diffusing program allocates. Operands a constant decides away (the
+// right side of `P[k] != j || …` in the reflect guards, quantifier copies
+// after the deciding one) are type-checked and declare their reads, but
+// get no closures; compiling them in full took 1579 allocations per load
+// (1642 under -race, which adds about 60 to either figure).
+func TestLoadCompilesDeadOperandsWithoutClosures(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "diffusing.gcl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := Load(string(src)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per load", n)
+	if n > 1560 {
+		t.Errorf("Load(diffusing.gcl) allocates %.0f times, want at most 1560", n)
+	}
+}
+
 // TestFoldedGuardsMatchTheirMeaning evaluates guards whose quantifier
 // copies fold in every way — dropped, deciding the quantifier, left to
 // the state — at every state, against the same guard written in Go.

@@ -14,6 +14,8 @@ type scope struct {
 	quants []quantBinding
 	// reads accumulates the variables the expression may read.
 	reads map[program.VarID]bool
+	// dead marks an operand that is never evaluated (see compileIn).
+	dead bool
 }
 
 // quantBinding is one quantifier variable and its value in the body copy
@@ -70,6 +72,17 @@ func (o operand) eval() cexpr {
 	return func(*program.State) int32 { return v }
 }
 
+// compileIn compiles e, as an operand that is never evaluated when dead
+// is set: it is type-checked and declares its reads like any other, but
+// gets no closures, and its result is only good for its type.
+func (s *scope) compileIn(dead bool, e Expr) (operand, error) {
+	was := s.dead
+	s.dead = was || dead
+	o, err := s.compileExpr(e)
+	s.dead = was
+	return o, err
+}
+
 // compileExpr compiles an expression to an operand. Constant
 // sub-expressions are folded, but only where the fold leaves what the
 // expression reads at runtime, and when it panics, as they were: an
@@ -99,6 +112,9 @@ func (s *scope) compileExpr(e Expr) (operand, error) {
 			if x.konst {
 				return constant(b2i(x.v == 0), typBool), nil
 			}
+			if s.dead {
+				return operand{t: typBool}, nil
+			}
 			x := x.eval()
 			return operand{fn: func(st *program.State) int32 {
 				if x(st) == 0 {
@@ -113,6 +129,9 @@ func (s *scope) compileExpr(e Expr) (operand, error) {
 			if x.konst {
 				return constant(-x.v, typInt), nil
 			}
+			if s.dead {
+				return operand{t: typInt}, nil
+			}
 			x := x.eval()
 			return operand{fn: func(st *program.State) int32 { return -x(st) }, t: typInt}, nil
 		default:
@@ -124,7 +143,11 @@ func (s *scope) compileExpr(e Expr) (operand, error) {
 		if err != nil {
 			return operand{}, err
 		}
-		r, err := s.compileExpr(n.R)
+		// A constant left operand of && or || that decides the result
+		// leaves the right one never evaluated.
+		and := n.Op == tokAnd
+		decided := l.konst && (and && l.v == 0 || n.Op == tokOr && l.v != 0)
+		r, err := s.compileIn(decided, n.R)
 		if err != nil {
 			return operand{}, err
 		}
@@ -133,16 +156,13 @@ func (s *scope) compileExpr(e Expr) (operand, error) {
 			if l.t != typBool || r.t != typBool {
 				return operand{}, errf(n.Pos, "operator %s needs bool operands, got %s and %s", n.Op, l.t, r.t)
 			}
-			// A constant left operand decides whether r is evaluated.
-			and := n.Op == tokAnd
-			if l.konst {
-				switch {
-				case and && l.v == 0:
-					return constant(0, typBool), nil
-				case !and && l.v != 0:
-					return constant(1, typBool), nil
-				}
+			switch {
+			case decided:
+				return constant(l.v, typBool), nil
+			case l.konst:
 				return r, nil
+			case s.dead:
+				return operand{t: typBool}, nil
 			}
 			l, r := l.eval(), r.eval()
 			if and {
@@ -183,6 +203,9 @@ func (s *scope) compileExpr(e Expr) (operand, error) {
 			if v, err := applyBinary(pos, op, l.v, r.v); err == nil {
 				return constant(v, outType), nil
 			}
+		}
+		if s.dead {
+			return operand{t: outType}, nil
 		}
 		lf, rf := l.eval(), r.eval()
 		return operand{fn: func(st *program.State) int32 {
@@ -230,8 +253,11 @@ func (s *scope) compileQuant(n *Quant) (operand, error) {
 	result, decided := b2i(forAll), false
 	var bodies []cexpr
 	for v := int64(lo); v <= max(int64(hi), int64(lo)); v++ {
+		// The empty range's type-checking copy, and every copy past the
+		// one that decides the quantifier, are never evaluated.
+		dead := s.dead || v-int64(lo) >= count || decided
 		s.quants = append(s.quants, quantBinding{n.Param, int32(v)})
-		body, err := s.compileExpr(n.Body)
+		body, err := s.compileIn(dead, n.Body)
 		s.quants = s.quants[:len(s.quants)-1]
 		if err != nil {
 			return operand{}, err
@@ -240,9 +266,7 @@ func (s *scope) compileQuant(n *Quant) (operand, error) {
 			return operand{}, errf(n.Pos, "quantifier body must be bool, got %s", body.t)
 		}
 		switch {
-		case v-int64(lo) >= count || decided:
-			// The empty range's type-checking copy, or one past the
-			// copy that decides the quantifier: never evaluated.
+		case dead:
 		case !body.konst:
 			bodies = append(bodies, body.eval())
 		case (body.v != 0) != forAll:
@@ -308,6 +332,9 @@ func (s *scope) compileVarRef(n *VarRef) (operand, error) {
 		if idx.konst && idx.v >= 0 && int(idx.v) < len(arr) {
 			return constant(arr[idx.v], typInt), nil
 		}
+		if s.dead {
+			return operand{t: typInt}, nil
+		}
 		pos := n.Pos
 		name := n.Name
 		length := len(arr)
@@ -330,6 +357,9 @@ func (s *scope) compileVarRef(n *VarRef) (operand, error) {
 		t = typBool
 	}
 	get := func(id program.VarID) operand {
+		if s.dead {
+			return operand{t: t}
+		}
 		return operand{fn: func(st *program.State) int32 { return st.Get(id) }, t: t}
 	}
 	if sym.size < 0 {
@@ -354,6 +384,9 @@ func (s *scope) compileVarRef(n *VarRef) (operand, error) {
 	// Dynamic index: conservatively reads the whole array, also when a
 	// quantifier copy makes it constant.
 	s.addReadAll(sym)
+	if s.dead {
+		return operand{t: t}, nil
+	}
 	if idx.konst && idx.v >= 0 && int(idx.v) < sym.size {
 		return get(sym.base + program.VarID(idx.v)), nil
 	}

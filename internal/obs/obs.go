@@ -10,6 +10,10 @@
 // start/end events; a Progress counter is bumped once per work chunk by
 // the hot loops and sampled from outside by a ticker (Watch).
 //
+// The package also owns the Prometheus text exposition format behind
+// csserved's /metrics: WriteHeader, WriteScalar and the cumulative
+// Histogram are the only writers of HELP and TYPE lines.
+//
 // Overhead contract: everything here is safe and free to leave off. A nil
 // *Progress accepts Add/StartPass calls (one nil-check, no allocation),
 // Nop is an allocation-free Tracer, and the per-span bookkeeping is a
@@ -22,7 +26,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -101,20 +104,32 @@ func (Nop) PassStart(string, int64) {}
 func (Nop) PassEnd(PassStat) {}
 
 // Collector is a Tracer that accumulates completed spans in emission
-// order. The zero value is ready to use; it is safe for concurrent use.
+// order and forwards every event to Next, when set. The zero value is
+// ready to use; it is safe for concurrent use if Next is.
 type Collector struct {
+	// Next receives each span event after the collector has recorded it.
+	Next Tracer
+
 	mu    sync.Mutex
 	stats []PassStat
 }
 
-// PassStart implements Tracer; the collector only records completions.
-func (c *Collector) PassStart(string, int64) {}
+// PassStart forwards the pass start; the collector only records
+// completions.
+func (c *Collector) PassStart(pass string, total int64) {
+	if c.Next != nil {
+		c.Next.PassStart(pass, total)
+	}
+}
 
-// PassEnd appends the completed span.
+// PassEnd appends the completed span and forwards it.
 func (c *Collector) PassEnd(stat PassStat) {
 	c.mu.Lock()
 	c.stats = append(c.stats, stat)
 	c.mu.Unlock()
+	if c.Next != nil {
+		c.Next.PassEnd(stat)
+	}
 }
 
 // Passes returns a copy of the collected spans, in completion order.
@@ -122,66 +137,6 @@ func (c *Collector) Passes() []PassStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]PassStat(nil), c.stats...)
-}
-
-// tee fans span events out to multiple tracers.
-type tee struct{ sinks []Tracer }
-
-func (t tee) PassStart(pass string, total int64) {
-	for _, s := range t.sinks {
-		s.PassStart(pass, total)
-	}
-}
-
-func (t tee) PassEnd(stat PassStat) {
-	for _, s := range t.sinks {
-		s.PassEnd(stat)
-	}
-}
-
-// Tee combines tracers into one, dropping nils. It returns nil when
-// nothing remains, and the tracer itself when only one remains, so the
-// hot path never pays for an empty fan-out.
-func Tee(tracers ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return tee{sinks: live}
-}
-
-// LogTracer emits one structured slog record per completed span — the
-// service's per-job trace stream. Attach job/request attributes by
-// passing a logger pre-bound with logger.With(...).
-type LogTracer struct {
-	Logger *slog.Logger
-}
-
-// PassStart is silent; the completion record carries the timing.
-func (LogTracer) PassStart(string, int64) {}
-
-// PassEnd logs the span at debug level.
-func (t LogTracer) PassEnd(stat PassStat) {
-	if t.Logger == nil {
-		return
-	}
-	t.Logger.Debug("pass",
-		"pass", stat.Pass,
-		"states", stat.States,
-		"frontier", stat.Frontier,
-		"edges", stat.Edges,
-		"bytes", stat.Bytes,
-		"workers", stat.Workers,
-		"elapsed_ms", stat.ElapsedMS,
-	)
 }
 
 // FormatTable renders spans as the fixed-width, human-readable pass table

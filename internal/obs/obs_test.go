@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -175,36 +175,33 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Fatal("empty Tee should collapse to nil")
-	}
-	c := &Collector{}
-	if got := Tee(nil, c); got != Tracer(c) {
-		t.Fatalf("single-sink Tee should return the sink itself, got %T", got)
-	}
-	c2 := &Collector{}
-	both := Tee(c, c2)
-	both.PassStart("x", 0)
-	both.PassEnd(PassStat{Pass: "x"})
-	if len(c.Passes()) != 1 || len(c2.Passes()) != 1 {
-		t.Fatalf("tee did not fan out: %d / %d", len(c.Passes()), len(c2.Passes()))
-	}
-}
+// eventLog is a Tracer that records every event it receives.
+type eventLog []string
 
-func TestLogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := LogTracer{Logger: logger}
-	tr.PassEnd(PassStat{Pass: "fault_span", States: 99, Workers: 2, ElapsedMS: 1.5})
-	out := buf.String()
-	for _, want := range []string{"pass=fault_span", "states=99", "workers=2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("log record %q missing %q", out, want)
-		}
+func (l *eventLog) PassStart(pass string, _ int64) { *l = append(*l, "start "+pass) }
+func (l *eventLog) PassEnd(stat PassStat)          { *l = append(*l, "end "+stat.Pass) }
+
+// TestCollectorForwards checks that the collector records each span and
+// hands every event on to Next in order, and that a nil Next is the
+// "nothing downstream" spelling.
+func TestCollectorForwards(t *testing.T) {
+	var next eventLog
+	c := &Collector{Next: &next}
+	c.PassStart("x", 0)
+	c.PassEnd(PassStat{Pass: "x"})
+	c.PassEnd(PassStat{Pass: "y"})
+	if want := []string{"start x", "end x", "end y"}; !slices.Equal(next, want) {
+		t.Fatalf("forwarded %q, want %q", next, want)
 	}
-	// A zero LogTracer must be safe (the "logging off" spelling).
-	LogTracer{}.PassEnd(PassStat{Pass: "x"})
+	if len(c.Passes()) != 2 {
+		t.Fatalf("collected %d spans, want 2", len(c.Passes()))
+	}
+	alone := &Collector{}
+	alone.PassStart("x", 0)
+	alone.PassEnd(PassStat{Pass: "x"})
+	if len(alone.Passes()) != 1 {
+		t.Fatal("collector without Next dropped its span")
+	}
 }
 
 func TestFormatTable(t *testing.T) {

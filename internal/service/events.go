@@ -199,7 +199,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, history []obs
 // writeEventMetrics renders the bus's fan-out counters.
 func (s *Server) writeEventMetrics(w io.Writer) {
 	st := s.bus.Stats()
-	fmt.Fprintf(w, "# HELP csserved_events_subscribers Currently attached event-stream subscribers.\n# TYPE csserved_events_subscribers gauge\ncsserved_events_subscribers %d\n", st.Subscribers)
-	fmt.Fprintf(w, "# HELP csserved_events_emitted_total Events delivered into subscriber buffers (zero while nobody listens).\n# TYPE csserved_events_emitted_total counter\ncsserved_events_emitted_total %d\n", st.Emitted)
-	fmt.Fprintf(w, "# HELP csserved_events_dropped_total Events lost at full subscriber buffers (slow consumers).\n# TYPE csserved_events_dropped_total counter\ncsserved_events_dropped_total %d\n", st.Dropped)
+	obs.WriteScalar(w, "csserved_events_subscribers", "gauge", "Currently attached event-stream subscribers.", st.Subscribers)
+	obs.WriteScalar(w, "csserved_events_emitted_total", "counter", "Events delivered into subscriber buffers (zero while nobody listens).", st.Emitted)
+	obs.WriteScalar(w, "csserved_events_dropped_total", "counter", "Events lost at full subscriber buffers (slow consumers).", st.Dropped)
 }

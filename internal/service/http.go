@@ -76,11 +76,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 // response header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /v1/jobs", serveSubmit(s, "job", s.submitJob))
 	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", serveByID(s, "job", nil, (*job).status))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", serveByID(s, "job", s.cancelJob, (*job).status))
-	mux.HandleFunc("POST /v1/batches", s.handleSubmitBatch)
+	mux.HandleFunc("POST /v1/batches", serveSubmit(s, "batch", s.submitBatch))
 	mux.HandleFunc("GET /v1/batches/{id}", serveByID(s, "batch", nil, (*batch).status))
 	mux.HandleFunc("DELETE /v1/batches/{id}", serveByID(s, "batch", s.cancelBatch, (*batch).status))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", serveEvents[*job](s, "job"))
@@ -176,32 +176,51 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	writeError(w, errorCode(err), "%v", err)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decode job spec: %v", err)
-		return
+// serveSubmit serves POST /v1/{jobs,batches}: it decodes the bounded
+// body as a T with unknown fields rejected, charges the tenant's
+// submission rate (the entry node pays; peer-authenticated forwarded hops
+// are exempt, so they are not charged twice), submits, and replies 202,
+// or 200 when submit reports the answer came from cache.
+func serveSubmit[T any](s *Server, noun string, submit func(spec T, info tenantInfo, r *http.Request) (status any, cached bool, err error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec T
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeError(w, http.StatusBadRequest, "decode %s spec: %v", noun, err)
+			return
+		}
+		info := tenantFrom(r.Context())
+		if se := s.rateLimit(info); se != nil {
+			writeSubmitError(w, se)
+			return
+		}
+		st, cached, err := submit(spec, info, r)
+		if err != nil {
+			writeSubmitError(w, err)
+			return
+		}
+		code := http.StatusAccepted
+		if cached {
+			code = http.StatusOK
+		}
+		writeJSON(w, code, st)
 	}
-	info := tenantFrom(r.Context())
-	// The entry node charges the tenant's submission rate; forwarded
-	// hops must not double-charge.
-	if se := s.rateLimit(info); se != nil {
-		writeSubmitError(w, se)
-		return
-	}
+}
+
+// submitJob admits one job; a job already terminal was served from cache.
+func (s *Server) submitJob(spec JobSpec, info tenantInfo, r *http.Request) (any, bool, error) {
 	forwarded := info.cluster && r.Header.Get(ForwardedHeader) != ""
 	st, err := s.SubmitAs(spec, info.name, forwarded)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	code := http.StatusAccepted
-	if st.State.terminal() {
-		code = http.StatusOK // served from cache
-	}
-	writeJSON(w, code, st)
+	return st, st.State.terminal(), err
+}
+
+// submitBatch admits one batch. It consumes one submission from the rate
+// bucket; its members are bounded by the tenant's in-flight quota as they
+// admit.
+func (s *Server) submitBatch(spec BatchSpec, info tenantInfo, _ *http.Request) (any, bool, error) {
+	st, err := s.SubmitBatchAs(spec, info.name)
+	return st, false, err
 }
 
 // serveByID serves GET and DELETE /v1/{jobs,batches}/{id} for records of
@@ -230,29 +249,6 @@ func serveByID[T entry, S any](s *Server, noun string, act func(T), status func(
 		}
 		writeJSON(w, http.StatusOK, st)
 	}
-}
-
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var spec BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decode batch spec: %v", err)
-		return
-	}
-	info := tenantFrom(r.Context())
-	// One batch consumes one submission from the rate bucket; its
-	// members are bounded by the tenant's in-flight quota as they admit.
-	if se := s.rateLimit(info); se != nil {
-		writeSubmitError(w, se)
-		return
-	}
-	st, err := s.SubmitBatchAs(spec, info.name)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {

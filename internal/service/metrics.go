@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -29,29 +30,14 @@ var passBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 var queueWaitBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// passHist is one pass's cumulative latency histogram plus the totals
-// backing its states/sec gauge and the index-size counters. Guarded by
+// passHist is one pass's latency histogram plus the totals backing its
+// states/sec gauge and the index-size counters. Guarded by
 // Metrics.passMu.
 type passHist struct {
-	buckets []int64 // observation counts per passBuckets bound
-	count   int64
-	sum     float64 // seconds
+	latency obs.Histogram // seconds
 	states  int64
 	edges   int64 // enabled transitions measured by index-building passes
 	bytes   int64 // bytes materialized by index-building passes
-}
-
-func (h *passHist) observe(seconds float64, states, edges, bytes int64) {
-	for i, le := range passBuckets {
-		if seconds <= le {
-			h.buckets[i]++
-		}
-	}
-	h.count++
-	h.sum += seconds
-	h.states += states
-	h.edges += edges
-	h.bytes += bytes
 }
 
 // Metrics holds the service's counters and gauges. All fields are updated
@@ -134,27 +120,26 @@ type Metrics struct {
 	Proxied atomic.Int64
 
 	mu        sync.Mutex
-	latencies []float64 // seconds, newest-last, bounded window
+	latencies []float64 // seconds, bounded window; a ring once full
+	oldest    int       // index of the oldest sample once the ring is full
 
 	passMu sync.Mutex
 	passes map[string]*passHist // by pass name
 
-	// queueMu guards the admit→run wait histogram (queueWaitBuckets).
-	queueMu          sync.Mutex
-	queueWaitBuckets []int64
-	queueWaitCount   int64
-	queueWaitSum     float64 // seconds
+	queueMu   sync.Mutex
+	queueWait obs.Histogram // admit→run seconds over queueWaitBuckets
 }
 
 // ObserveLatency records one check duration (in seconds).
 func (m *Metrics) ObserveLatency(seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.latencies) >= maxLatencySamples {
-		copy(m.latencies, m.latencies[1:])
-		m.latencies = m.latencies[:len(m.latencies)-1]
+	if len(m.latencies) < maxLatencySamples {
+		m.latencies = append(m.latencies, seconds)
+		return
 	}
-	m.latencies = append(m.latencies, seconds)
+	m.latencies[m.oldest] = seconds
+	m.oldest = (m.oldest + 1) % maxLatencySamples
 }
 
 // ObservePass records one completed verifier pass span into the per-pass
@@ -167,10 +152,13 @@ func (m *Metrics) ObservePass(stat obs.PassStat) {
 	}
 	h, ok := m.passes[stat.Pass]
 	if !ok {
-		h = &passHist{buckets: make([]int64, len(passBuckets))}
+		h = &passHist{latency: obs.NewHistogram(passBuckets)}
 		m.passes[stat.Pass] = h
 	}
-	h.observe(stat.ElapsedMS/1000, stat.States, stat.Edges, stat.Bytes)
+	h.latency.Observe(stat.ElapsedMS / 1000)
+	h.states += stat.States
+	h.edges += stat.Edges
+	h.bytes += stat.Bytes
 	// Only the per-check "spill" summary span counts toward the spill
 	// total: the index-building spans carry their own segment bytes, which
 	// the summary already includes — adding both would double-count.
@@ -183,17 +171,8 @@ func (m *Metrics) ObservePass(stat obs.PassStat) {
 // time between queue admission and executor pickup.
 func (m *Metrics) ObserveQueueWait(seconds float64) {
 	m.queueMu.Lock()
-	defer m.queueMu.Unlock()
-	if m.queueWaitBuckets == nil {
-		m.queueWaitBuckets = make([]int64, len(queueWaitBuckets))
-	}
-	for i, le := range queueWaitBuckets {
-		if seconds <= le {
-			m.queueWaitBuckets[i]++
-		}
-	}
-	m.queueWaitCount++
-	m.queueWaitSum += seconds
+	m.queueWait.Observe(seconds)
+	m.queueMu.Unlock()
 }
 
 // LatencySummary returns order statistics over the retained check-latency
@@ -206,83 +185,61 @@ func (m *Metrics) LatencySummary() metrics.Summary {
 	return metrics.Summarize(sample)
 }
 
-// WritePrometheus renders every counter and gauge in Prometheus text
-// exposition format under the csserved_ prefix.
+// WritePrometheus renders every counter, gauge, summary and histogram in
+// Prometheus text exposition format under the csserved_ prefix.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("csserved_jobs_submitted_total", "Accepted job submissions (including cache hits).", m.Submitted.Load())
-	counter("csserved_jobs_rejected_total", "Submissions rejected by admission control.", m.Rejected.Load())
-	counter("csserved_jobs_completed_total", "Jobs whose check ran to completion.", m.Completed.Load())
-	counter("csserved_jobs_failed_total", "Jobs whose check returned an error.", m.Failed.Load())
-	counter("csserved_jobs_canceled_total", "Jobs canceled before or during execution.", m.Canceled.Load())
-	counter("csserved_cache_hits_total", "Content-addressed cache hits at submission.", m.CacheHits.Load())
-	counter("csserved_cache_misses_total", "Content-addressed cache misses at submission.", m.CacheMisses.Load())
-	counter("csserved_jobs_coalesced_total", "Submissions coalesced onto an identical in-flight job.", m.Coalesced.Load())
-	counter("csserved_store_hits_total", "Cache hits served by the persistent store backend.", m.StoreHits.Load())
-	counter("csserved_store_puts_total", "Verdicts written through to the persistent store backend.", m.StorePuts.Load())
-	counter("csserved_store_errors_total", "Failed persistent store reads/writes.", m.StoreErrors.Load())
-	counter("csserved_batches_submitted_total", "Accepted batch submissions.", m.BatchesSubmitted.Load())
-	counter("csserved_batches_completed_total", "Batches that ran every member to a terminal state.", m.BatchesCompleted.Load())
-	counter("csserved_batches_canceled_total", "Batches canceled before completion.", m.BatchesCanceled.Load())
-	counter("csserved_batch_jobs_total", "Member jobs admitted through batches.", m.BatchJobs.Load())
-	counter("csserved_verdict_satisfied_total", "Completed checks with a satisfied verdict.", m.Satisfied.Load())
-	counter("csserved_verdict_violated_total", "Completed checks with a violated verdict.", m.Violated.Load())
-	counter("csserved_saboteur_jobs_total", "Completed jobs that ran the saboteur search.", m.SaboteurJobs.Load())
-	counter("csserved_saboteur_optimal_total", "Saboteur searches that proved k-bounded optimality.", m.SaboteurOptimal.Load())
-	counter("csserved_saboteur_budget_exhausted_total", "Saboteur searches cut off by the expansion budget.", m.SaboteurBudgetExhausted.Load())
-	counter("csserved_saboteur_expanded_nodes_total", "Product-graph nodes expanded by saboteur searches.", m.SaboteurExpanded.Load())
-	counter("csserved_spill_bytes_total", "Bytes written by the checker's disk tier (CSR segments plus frontier spool runs).", m.SpilledBytes.Load())
-	counter("csserved_auth_failures_total", "Requests rejected for a bad or missing bearer token.", m.AuthFailures.Load())
-	counter("csserved_rate_limited_total", "Submissions bounced by a tenant's token-bucket rate limit.", m.RateLimited.Load())
-	counter("csserved_quota_rejected_total", "Submissions bounced by a tenant's in-flight quota.", m.QuotaRejected.Load())
-	counter("csserved_high_priority_jobs_total", "Jobs admitted to the high-priority queue.", m.HighPriority.Load())
-	counter("csserved_forwarded_jobs_total", "Submissions forwarded to their owner node.", m.Forwarded.Load())
-	counter("csserved_forward_fallbacks_total", "Forwards that failed in transport and ran locally instead.", m.ForwardFallbacks.Load())
-	counter("csserved_proxied_requests_total", "Id-addressed requests reverse-proxied to the owning node.", m.Proxied.Load())
-	gauge("csserved_queue_depth", "Jobs waiting in the queue.", m.QueueDepth.Load())
-	gauge("csserved_inflight_workers", "Executors currently running a check.", m.InFlight.Load())
-	gauge("csserved_batches_inflight", "Batches not yet terminal.", m.BatchesInFlight.Load())
+	obs.WriteScalar(w, "csserved_jobs_submitted_total", "counter", "Accepted job submissions (including cache hits).", m.Submitted.Load())
+	obs.WriteScalar(w, "csserved_jobs_rejected_total", "counter", "Submissions rejected by admission control.", m.Rejected.Load())
+	obs.WriteScalar(w, "csserved_jobs_completed_total", "counter", "Jobs whose check ran to completion.", m.Completed.Load())
+	obs.WriteScalar(w, "csserved_jobs_failed_total", "counter", "Jobs whose check returned an error.", m.Failed.Load())
+	obs.WriteScalar(w, "csserved_jobs_canceled_total", "counter", "Jobs canceled before or during execution.", m.Canceled.Load())
+	obs.WriteScalar(w, "csserved_cache_hits_total", "counter", "Content-addressed cache hits at submission.", m.CacheHits.Load())
+	obs.WriteScalar(w, "csserved_cache_misses_total", "counter", "Content-addressed cache misses at submission.", m.CacheMisses.Load())
+	obs.WriteScalar(w, "csserved_jobs_coalesced_total", "counter", "Submissions coalesced onto an identical in-flight job.", m.Coalesced.Load())
+	obs.WriteScalar(w, "csserved_store_hits_total", "counter", "Cache hits served by the persistent store backend.", m.StoreHits.Load())
+	obs.WriteScalar(w, "csserved_store_puts_total", "counter", "Verdicts written through to the persistent store backend.", m.StorePuts.Load())
+	obs.WriteScalar(w, "csserved_store_errors_total", "counter", "Failed persistent store reads/writes.", m.StoreErrors.Load())
+	obs.WriteScalar(w, "csserved_batches_submitted_total", "counter", "Accepted batch submissions.", m.BatchesSubmitted.Load())
+	obs.WriteScalar(w, "csserved_batches_completed_total", "counter", "Batches that ran every member to a terminal state.", m.BatchesCompleted.Load())
+	obs.WriteScalar(w, "csserved_batches_canceled_total", "counter", "Batches canceled before completion.", m.BatchesCanceled.Load())
+	obs.WriteScalar(w, "csserved_batch_jobs_total", "counter", "Member jobs admitted through batches.", m.BatchJobs.Load())
+	obs.WriteScalar(w, "csserved_verdict_satisfied_total", "counter", "Completed checks with a satisfied verdict.", m.Satisfied.Load())
+	obs.WriteScalar(w, "csserved_verdict_violated_total", "counter", "Completed checks with a violated verdict.", m.Violated.Load())
+	obs.WriteScalar(w, "csserved_saboteur_jobs_total", "counter", "Completed jobs that ran the saboteur search.", m.SaboteurJobs.Load())
+	obs.WriteScalar(w, "csserved_saboteur_optimal_total", "counter", "Saboteur searches that proved k-bounded optimality.", m.SaboteurOptimal.Load())
+	obs.WriteScalar(w, "csserved_saboteur_budget_exhausted_total", "counter", "Saboteur searches cut off by the expansion budget.", m.SaboteurBudgetExhausted.Load())
+	obs.WriteScalar(w, "csserved_saboteur_expanded_nodes_total", "counter", "Product-graph nodes expanded by saboteur searches.", m.SaboteurExpanded.Load())
+	obs.WriteScalar(w, "csserved_spill_bytes_total", "counter", "Bytes written by the checker's disk tier (CSR segments plus frontier spool runs).", m.SpilledBytes.Load())
+	obs.WriteScalar(w, "csserved_auth_failures_total", "counter", "Requests rejected for a bad or missing bearer token.", m.AuthFailures.Load())
+	obs.WriteScalar(w, "csserved_rate_limited_total", "counter", "Submissions bounced by a tenant's token-bucket rate limit.", m.RateLimited.Load())
+	obs.WriteScalar(w, "csserved_quota_rejected_total", "counter", "Submissions bounced by a tenant's in-flight quota.", m.QuotaRejected.Load())
+	obs.WriteScalar(w, "csserved_high_priority_jobs_total", "counter", "Jobs admitted to the high-priority queue.", m.HighPriority.Load())
+	obs.WriteScalar(w, "csserved_forwarded_jobs_total", "counter", "Submissions forwarded to their owner node.", m.Forwarded.Load())
+	obs.WriteScalar(w, "csserved_forward_fallbacks_total", "counter", "Forwards that failed in transport and ran locally instead.", m.ForwardFallbacks.Load())
+	obs.WriteScalar(w, "csserved_proxied_requests_total", "counter", "Id-addressed requests reverse-proxied to the owning node.", m.Proxied.Load())
+	obs.WriteScalar(w, "csserved_queue_depth", "gauge", "Jobs waiting in the queue.", m.QueueDepth.Load())
+	obs.WriteScalar(w, "csserved_inflight_workers", "gauge", "Executors currently running a check.", m.InFlight.Load())
+	obs.WriteScalar(w, "csserved_batches_inflight", "gauge", "Batches not yet terminal.", m.BatchesInFlight.Load())
 
 	s := m.LatencySummary()
-	fmt.Fprintf(w, "# HELP csserved_check_latency_seconds Check latency over the last %d checks.\n", maxLatencySamples)
-	fmt.Fprintf(w, "# TYPE csserved_check_latency_seconds summary\n")
-	fmt.Fprintf(w, "csserved_check_latency_seconds{quantile=\"0.5\"} %g\n", s.Median)
-	fmt.Fprintf(w, "csserved_check_latency_seconds{quantile=\"0.95\"} %g\n", s.P95)
-	fmt.Fprintf(w, "csserved_check_latency_seconds{quantile=\"0.99\"} %g\n", s.P99)
-	fmt.Fprintf(w, "csserved_check_latency_seconds_sum %g\n", s.Mean*float64(s.N))
-	fmt.Fprintf(w, "csserved_check_latency_seconds_count %d\n", s.N)
+	const lat = "csserved_check_latency_seconds"
+	obs.WriteHeader(w, lat, "summary", "Check latency over the last "+strconv.Itoa(maxLatencySamples)+" checks.")
+	fmt.Fprintf(w, "%s{quantile=\"0.5\"} %g\n", lat, s.Median)
+	fmt.Fprintf(w, "%s{quantile=\"0.95\"} %g\n", lat, s.P95)
+	fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", lat, s.P99)
+	fmt.Fprintf(w, "%s_sum %g\n", lat, s.Mean*float64(s.N))
+	fmt.Fprintf(w, "%s_count %d\n", lat, s.N)
 
-	m.writeQueueWait(w)
+	// The queue-wait histogram is emitted even before the first
+	// observation, so dashboards can key off its presence.
+	m.queueMu.Lock()
+	obs.WriteHeader(w, "csserved_job_queue_wait_seconds", "histogram", "Time jobs spent queued between admission and executor pickup.")
+	m.queueWait.Write(w, "csserved_job_queue_wait_seconds", "")
+	m.queueMu.Unlock()
 	m.writePassMetrics(w)
 }
 
-// writeQueueWait renders the admit→run latency histogram. Emitted even
-// before the first observation, so dashboards can key off its presence.
-func (m *Metrics) writeQueueWait(w io.Writer) {
-	m.queueMu.Lock()
-	defer m.queueMu.Unlock()
-	fmt.Fprintf(w, "# HELP csserved_job_queue_wait_seconds Time jobs spent queued between admission and executor pickup.\n")
-	fmt.Fprintf(w, "# TYPE csserved_job_queue_wait_seconds histogram\n")
-	for i, le := range queueWaitBuckets {
-		var v int64
-		if m.queueWaitBuckets != nil {
-			// observe() increments every bucket at or above the value, so
-			// the stored counts are already cumulative as "le" expects.
-			v = m.queueWaitBuckets[i]
-		}
-		fmt.Fprintf(w, "csserved_job_queue_wait_seconds_bucket{le=\"%g\"} %d\n", le, v)
-	}
-	fmt.Fprintf(w, "csserved_job_queue_wait_seconds_bucket{le=\"+Inf\"} %d\n", m.queueWaitCount)
-	fmt.Fprintf(w, "csserved_job_queue_wait_seconds_sum %g\n", m.queueWaitSum)
-	fmt.Fprintf(w, "csserved_job_queue_wait_seconds_count %d\n", m.queueWaitCount)
-}
-
-// writePassMetrics renders the per-pass latency histograms and
+// writePassMetrics renders the per-pass latency histograms, totals and
 // throughput gauges, pass names sorted for deterministic scrapes.
 func (m *Metrics) writePassMetrics(w io.Writer) {
 	m.passMu.Lock()
@@ -296,46 +253,31 @@ func (m *Metrics) writePassMetrics(w io.Writer) {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "# HELP csserved_pass_latency_seconds Verifier pass latency by pass name.\n")
-	fmt.Fprintf(w, "# TYPE csserved_pass_latency_seconds histogram\n")
+	obs.WriteHeader(w, "csserved_pass_latency_seconds", "histogram", "Verifier pass latency by pass name.")
 	for _, name := range names {
-		h := m.passes[name]
-		// observe() increments every bucket at or above the value, so the
-		// stored counts are already cumulative as Prometheus "le" expects.
-		for i, le := range passBuckets {
-			fmt.Fprintf(w, "csserved_pass_latency_seconds_bucket{pass=%q,le=\"%g\"} %d\n", name, le, h.buckets[i])
+		m.passes[name].latency.Write(w, "csserved_pass_latency_seconds", fmt.Sprintf("pass=%q", name))
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		value           func(*passHist) any
+	}{
+		{"csserved_pass_states_total", "counter", "States processed by pass name.",
+			func(h *passHist) any { return h.states }},
+		{"csserved_pass_edges_total", "counter", "Enabled transitions measured by index-building passes, by pass name.",
+			func(h *passHist) any { return h.edges }},
+		{"csserved_pass_bytes_total", "counter", "Bytes materialized by index-building passes, by pass name.",
+			func(h *passHist) any { return h.bytes }},
+		{"csserved_pass_states_per_second", "gauge", "Cumulative pass throughput (states / pass-seconds).",
+			func(h *passHist) any {
+				if h.latency.Sum <= 0 {
+					return 0.0
+				}
+				return float64(h.states) / h.latency.Sum
+			}},
+	} {
+		obs.WriteHeader(w, f.name, f.typ, f.help)
+		for _, name := range names {
+			fmt.Fprintf(w, "%s{pass=%q} %v\n", f.name, name, f.value(m.passes[name]))
 		}
-		fmt.Fprintf(w, "csserved_pass_latency_seconds_bucket{pass=%q,le=\"+Inf\"} %d\n", name, h.count)
-		fmt.Fprintf(w, "csserved_pass_latency_seconds_sum{pass=%q} %g\n", name, h.sum)
-		fmt.Fprintf(w, "csserved_pass_latency_seconds_count{pass=%q} %d\n", name, h.count)
-	}
-
-	fmt.Fprintf(w, "# HELP csserved_pass_states_total States processed by pass name.\n")
-	fmt.Fprintf(w, "# TYPE csserved_pass_states_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "csserved_pass_states_total{pass=%q} %d\n", name, m.passes[name].states)
-	}
-
-	fmt.Fprintf(w, "# HELP csserved_pass_edges_total Enabled transitions measured by index-building passes, by pass name.\n")
-	fmt.Fprintf(w, "# TYPE csserved_pass_edges_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "csserved_pass_edges_total{pass=%q} %d\n", name, m.passes[name].edges)
-	}
-
-	fmt.Fprintf(w, "# HELP csserved_pass_bytes_total Bytes materialized by index-building passes, by pass name.\n")
-	fmt.Fprintf(w, "# TYPE csserved_pass_bytes_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "csserved_pass_bytes_total{pass=%q} %d\n", name, m.passes[name].bytes)
-	}
-
-	fmt.Fprintf(w, "# HELP csserved_pass_states_per_second Cumulative pass throughput (states / pass-seconds).\n")
-	fmt.Fprintf(w, "# TYPE csserved_pass_states_per_second gauge\n")
-	for _, name := range names {
-		h := m.passes[name]
-		rate := 0.0
-		if h.sum > 0 {
-			rate = float64(h.states) / h.sum
-		}
-		fmt.Fprintf(w, "csserved_pass_states_per_second{pass=%q} %g\n", name, rate)
 	}
 }

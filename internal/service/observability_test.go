@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nonmask/internal/metrics"
 	"nonmask/internal/verify"
 )
 
@@ -169,5 +170,21 @@ func TestRequestIDHeader(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Header().Get("X-Request-Id") == "" {
 		t.Fatal("response missing X-Request-Id")
+	}
+}
+
+// TestLatencyWindowKeepsNewest checks the bounded window: past
+// maxLatencySamples observations each new one replaces the oldest, so the
+// summary covers exactly the latest checks.
+func TestLatencyWindowKeepsNewest(t *testing.T) {
+	var m Metrics
+	all := make([]float64, 5000)
+	for i := range all {
+		all[i] = float64(i*7919%5000) / 1000
+		m.ObserveLatency(all[i])
+	}
+	got, want := m.LatencySummary(), metrics.Summarize(all[len(all)-maxLatencySamples:])
+	if got != want {
+		t.Fatalf("LatencySummary = %+v, want %+v", got, want)
 	}
 }

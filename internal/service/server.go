@@ -77,8 +77,9 @@ type Config struct {
 	// memory-tier eviction. The caller owns the store's lifecycle — open
 	// it before New, close it after Shutdown.
 	Store *store.Store
-	// Logger receives the server's structured job-lifecycle and pass
-	// trace records (log/slog). Nil discards them.
+	// Logger receives the server's structured job-lifecycle and request
+	// records (log/slog). Nil discards them; pass spans stream as job
+	// events instead.
 	Logger *slog.Logger
 	// EventHistory bounds each event stream's in-memory replay ring (the
 	// per-job/per-batch event log SSE attaches drain before tailing).
@@ -217,6 +218,7 @@ func New(cfg Config) *Server {
 		queueHigh: make(chan *job, cfg.QueueSize),
 		inflight:  make(map[string]*job),
 		bus:       obs.NewBus(cfg.EventHistory),
+		metrics:   Metrics{queueWait: obs.NewHistogram(queueWaitBuckets)},
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 	}
@@ -277,18 +279,15 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 		return
 	}
 	st := s.cfg.Store.Stats()
-	line := func(name, typ, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	line("csserved_store_keys", "gauge", "Live keys in the persistent verdict store.", int64(st.Keys))
-	line("csserved_store_log_bytes", "gauge", "Persistent store log file size.", st.LogBytes)
-	line("csserved_store_live_bytes", "gauge", "Bytes the newest record per key occupies (gap to log_bytes is compactable garbage).", st.LiveBytes)
-	line("csserved_store_recovered_records_total", "counter", "Valid records replayed by the store's recovery scan at open.", st.RecoveredRecords)
-	line("csserved_store_skipped_corrupt_records_total", "counter", "Records the recovery scan dropped on checksum or decode mismatch.", st.SkippedCorrupt)
-	line("csserved_store_truncated_bytes_total", "counter", "Torn-tail bytes the recovery scan cut off.", st.TruncatedBytes)
-	line("csserved_store_appends_total", "counter", "Records appended to the store log.", st.Appends)
-	line("csserved_store_compactions_total", "counter", "Completed store compaction rewrites.", st.Compactions)
-	line("csserved_store_syncs_total", "counter", "fsyncs issued by the store (batched flushes, compactions, close).", st.Syncs)
+	obs.WriteScalar(w, "csserved_store_keys", "gauge", "Live keys in the persistent verdict store.", int64(st.Keys))
+	obs.WriteScalar(w, "csserved_store_log_bytes", "gauge", "Persistent store log file size.", st.LogBytes)
+	obs.WriteScalar(w, "csserved_store_live_bytes", "gauge", "Bytes the newest record per key occupies (gap to log_bytes is compactable garbage).", st.LiveBytes)
+	obs.WriteScalar(w, "csserved_store_recovered_records_total", "counter", "Valid records replayed by the store's recovery scan at open.", st.RecoveredRecords)
+	obs.WriteScalar(w, "csserved_store_skipped_corrupt_records_total", "counter", "Records the recovery scan dropped on checksum or decode mismatch.", st.SkippedCorrupt)
+	obs.WriteScalar(w, "csserved_store_truncated_bytes_total", "counter", "Torn-tail bytes the recovery scan cut off.", st.TruncatedBytes)
+	obs.WriteScalar(w, "csserved_store_appends_total", "counter", "Records appended to the store log.", st.Appends)
+	obs.WriteScalar(w, "csserved_store_compactions_total", "counter", "Completed store compaction rewrites.", st.Compactions)
+	obs.WriteScalar(w, "csserved_store_syncs_total", "counter", "fsyncs issued by the store (batched flushes, compactions, close).", st.Syncs)
 }
 
 // submitError carries an HTTP status for the transport layer, plus the
@@ -462,13 +461,11 @@ func (s *Server) runJob(j *job) {
 		})
 	}
 	defer stopProg()
-	// The per-job LogTracer streams each pass span as a debug record tagged
-	// with the job id, in addition to the report's own span collection; the
-	// job's event stream turns the same spans into pass_start/pass_end
-	// events for live subscribers.
+	// The job's event stream turns each pass span into pass_start/pass_end
+	// events for live subscribers; the report collects the same spans.
 	rep, err := verify.Check(ctx, j.c.prog, j.c.s, j.c.t,
 		verify.WithOptions(j.c.opts), verify.WithConstraints(j.c.constraints...),
-		verify.WithTracer(obs.Tee(obs.LogTracer{Logger: jlog}, j.events)),
+		verify.WithTracer(j.events),
 		verify.WithProgress(prog))
 	if rep != nil {
 		// Release the space's disk tier (mmap'd CSR segments) once the job
@@ -482,7 +479,7 @@ func (s *Server) runJob(j *job) {
 	var sabRes *saboteur.Result
 	if err == nil && j.c.saboteur != nil {
 		// The search runs on the check's own space, so its pass span joins
-		// the report's span collection (and the per-job debug log) like any
+		// the report's span collection (and the job's events) like any
 		// verifier pass. Incumbent improvements stream as saboteur events.
 		sopts := *j.c.saboteur
 		sopts.OnImprove = func(cost, faults int, expanded int64) {

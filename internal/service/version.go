@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+
+	"nonmask/internal/obs"
 )
 
 // BuildInfo identifies the running server build, so event streams and
@@ -67,7 +69,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // gauge (constant 1, identity in the labels).
 func writeBuildInfo(w io.Writer) {
 	b := ReadBuild()
-	fmt.Fprintf(w, "# HELP csserved_build_info Build identity of the running server (constant 1; identity in labels).\n")
-	fmt.Fprintf(w, "# TYPE csserved_build_info gauge\n")
+	obs.WriteHeader(w, "csserved_build_info", "gauge", "Build identity of the running server (constant 1; identity in labels).")
 	fmt.Fprintf(w, "csserved_build_info{module=%q,version=%q,go=%q} 1\n", b.Module, b.Version, b.GoVersion)
 }

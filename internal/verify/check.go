@@ -133,12 +133,12 @@ func Check(ctx context.Context, p *program.Program, S, T *program.Predicate, opt
 	}
 	start := time.Now()
 
-	// Every pass records its span into the collector; the user's tracer
-	// (if any) sees the same events live. The report keeps the caller's
-	// options, not the teed ones.
-	rep := &Report{Options: opts, collector: &obs.Collector{}}
+	// Every pass records its span into the collector, which forwards it
+	// to the user's tracer (if any) live. The report keeps the caller's
+	// options, not the collecting ones.
+	rep := &Report{Options: opts, collector: &obs.Collector{Next: opts.Tracer}}
 	runOpts := opts
-	runOpts.Tracer = obs.Tee(rep.collector, opts.Tracer)
+	runOpts.Tracer = rep.collector
 	if extras.faults != nil {
 		span, err := FaultSpanContext(ctx, p, extras.faults, S, runOpts)
 		if err != nil {
