@@ -87,51 +87,44 @@ func main() {
 		return
 	}
 
-	opts := verify.Options{Workers: *workers, MaxStates: *maxStates, Metrics: *measure, SpillDir: *spillDir}
-	if *strategy == "exhaustive" {
-		opts.Strategy = verify.Exhaustive
-	} else {
-		opts.Strategy = verify.Projected
+	// The flags spell a job spec, compiled by the service's own compiler:
+	// the CLI validates options, applies the quotient soundness policy and
+	// content-addresses exactly as csserved does.
+	spec := service.JobSpec{
+		Protocol: *protocol,
+		Params:   registry.Params{N: *n, K: *k, Tree: *tree, Graph: *graphStr, Variant: *variant, Seed: *seed},
+		Options: service.JobOptions{Workers: *workers, MaxStates: *maxStates,
+			Strategy: *strategy, SpaceMode: *spaceMode},
 	}
-	var flagErr error
-	if opts.SpaceMode, flagErr = verify.ParseSpaceMode(*spaceMode); flagErr != nil {
-		fmt.Fprintln(os.Stderr, "csverify:", flagErr)
-		os.Exit(2)
+	if *measure {
+		spec.Options.Analyses = []string{service.AnalysisMetrics}
+	}
+	if *sabotage != 0 {
+		spec.Options.Saboteur = &service.SaboteurOptions{K: *sabotage, Objective: *objective, Budget: *budget}
 	}
 	// -trace collects every pass span the check emits (including stair and
 	// fair-convergence follow-ups, which inherit the options' tracer) and
 	// prints the table after the verdict; -progress samples the hot loops'
 	// shared counter twice a second. Both write stderr, so -json output
 	// stays parseable.
-	var collector *obs.Collector
+	var (
+		collector *obs.Collector
+		tracer    obs.Tracer
+		prog      *obs.Progress
+	)
 	if *trace {
 		collector = &obs.Collector{}
-		opts.Tracer = collector
+		tracer = collector
 	}
 	stopProgress := func() {}
 	if *progress {
-		p := &obs.Progress{}
-		opts.Progress = p
-		stopProgress = p.Watch(500*time.Millisecond, func(s obs.Snapshot) {
+		prog = &obs.Progress{}
+		stopProgress = prog.Watch(500*time.Millisecond, func(s obs.Snapshot) {
 			printSnapshot("csverify", s)
 		})
 	}
 
-	params := registry.Params{N: *n, K: *k, Tree: *tree, Graph: *graphStr, Variant: *variant, Seed: *seed}
-	var err error
-	switch {
-	case *sabotage != 0:
-		if *storeDir != "" {
-			err = fmt.Errorf("-sabotage does not combine with -store (witnesses are not store records)")
-		} else {
-			sabOpts := saboteur.Options{K: *sabotage, Objective: *objective, Budget: *budget}
-			err = runSabotage(*protocol, params, opts, sabOpts, *jsonOut, *witOut)
-		}
-	case *storeDir != "":
-		err = runStored(*protocol, params, opts, *jsonOut, *storeDir)
-	default:
-		err = run(*protocol, params, opts, *jsonOut)
-	}
+	err := check(spec, *spillDir, *storeDir, *witOut, *jsonOut, tracer, prog)
 	stopProgress()
 	if collector != nil {
 		fmt.Fprint(os.Stderr, obs.FormatTable(collector.Passes()))
@@ -208,162 +201,108 @@ func rateString(r float64) string {
 	}
 }
 
-// applySymmetry attaches the instance's advertised symmetry group to the
-// options under the same soundness policy csserved applies: no quotient
-// under the saboteur (the witness must replay on concrete states) and no
-// quotient when per-constraint metrics run on a layered design (the
-// constraint predicates are permuted by the group, not preserved — see
-// registry.Instance.Symmetry). Auto mode silently stays on the full/spill
-// ladder in those cases; an explicit -space-mode quotient errors with the
-// reason.
-func applySymmetry(opts verify.Options, inst *registry.Instance, sabotage bool) (verify.Options, error) {
-	sym := inst.Symmetry
-	switch {
-	case sabotage:
-		if opts.SpaceMode == verify.SpaceQuotient {
-			return opts, fmt.Errorf("-space-mode quotient does not combine with -sabotage: the fault-schedule witness must replay on concrete states, not orbit representatives")
-		}
-		sym = nil
-	case opts.Metrics && len(registry.ConstraintSpecs(inst)) > 0:
-		if opts.SpaceMode == verify.SpaceQuotient {
-			return opts, fmt.Errorf("-space-mode quotient does not combine with -measure on a layered design: per-constraint recovery costs are not symmetry-invariant")
-		}
-		sym = nil
+// check compiles the spec and runs it the way the output mode needs: the
+// store-backed verdict, the wire JSON, the saboteur report, or the prose
+// report (with theorem validation for layered designs).
+func check(spec service.JobSpec, spillDir, storeDir, witOut string, jsonOut bool,
+	tracer obs.Tracer, prog *obs.Progress) error {
+	if spec.Options.Saboteur != nil && storeDir != "" {
+		return fmt.Errorf("-sabotage does not combine with -store (witnesses are not store records)")
 	}
-	if opts.SpaceMode == verify.SpaceQuotient && sym == nil {
-		return opts, fmt.Errorf("%s advertises no symmetry group; -space-mode quotient needs one", inst.Name)
-	}
-	opts.Symmetry = sym
-	return opts, nil
-}
-
-func run(protocol string, params registry.Params, opts verify.Options, jsonOut bool) error {
-	inst, err := registry.Build(protocol, params)
+	c, err := service.Compile(spec, service.Config{SpillDir: spillDir})
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		if opts, err = applySymmetry(opts, inst, false); err != nil {
+	if storeDir != "" {
+		return runStored(c, jsonOut, storeDir, tracer, prog)
+	}
+	if !jsonOut && c.Design() != nil && spec.Options.Saboteur == nil {
+		return verifyDesign(c, tracer, prog)
+	}
+	rep, sabRes, err := c.Run(context.Background(), tracer, prog, nil)
+	if rep != nil {
+		defer rep.Close()
+	}
+	if err != nil {
+		return err
+	}
+	if sabRes != nil {
+		if err := writeWitness(sabRes, witOut); err != nil {
 			return err
 		}
-		return verifyJSON(inst, opts)
 	}
-	if inst.Design != nil {
-		// The prose design path runs theorem validation and per-constraint
-		// closure/preservation scans, which evaluate node-indexed predicates
-		// the quotient does not preserve; it never engages the symmetry
-		// tier. The unified Check path behind -json does.
-		if opts.SpaceMode == verify.SpaceQuotient {
-			return fmt.Errorf("the design-validation output evaluates per-constraint predicates, which are not symmetry-invariant; use -json for the quotient check")
-		}
-		return verifyDesign(inst.Design, opts)
+	switch {
+	case jsonOut:
+		return encodeJSON(c.Result(rep, sabRes))
+	case sabRes != nil:
+		printSabotage(c, rep, sabRes)
+		return nil
+	default:
+		return verifyPlain(c, rep)
 	}
-	if opts, err = applySymmetry(opts, inst, false); err != nil {
-		return err
-	}
-	return verifyPlain(inst, opts)
 }
 
-// runSabotage checks the instance, then runs the adversarial
-// fault-schedule search on the same enumerated space and reports the
-// worst k-fault schedule it proved. The witness (when the schedule does
-// damage) can be written out for cssim -replay.
-func runSabotage(protocol string, params registry.Params, opts verify.Options,
-	sabOpts saboteur.Options, jsonOut bool, witOut string) error {
-	normalized, err := registry.Normalize(protocol, params)
-	if err != nil {
-		return err
+// writeWitness writes the saboteur's witness (when the worst schedule
+// does damage) for cssim -replay; Run has stamped its catalog identity, so
+// the file alone rebuilds the instance.
+func writeWitness(sabRes *saboteur.Result, witOut string) error {
+	if witOut == "" {
+		return nil
 	}
-	// Same pre-queue gate the service applies: the search enumerates the
-	// full space, so the advertised bound is enforced up front.
-	if err := registry.ValidateAnalyses(protocol, normalized,
-		[]string{registry.AnalysisSaboteur}, opts.MaxStates); err != nil {
-		return err
-	}
-	inst, err := registry.Build(protocol, normalized)
-	if err != nil {
-		return err
-	}
-	if opts, err = applySymmetry(opts, inst, true); err != nil {
-		return err
-	}
-	ctx := context.Background()
-	rep, err := verify.Check(ctx, inst.Program, inst.S, inst.T,
-		verify.WithOptions(opts), verify.WithConstraints(registry.ConstraintSpecs(inst)...))
-	if err != nil {
-		return err
-	}
-	defer rep.Close()
-	sabRes, err := saboteur.Search(ctx, rep.Space, sabOpts)
-	if err != nil {
-		return err
-	}
-	if w := sabRes.Witness; w != nil {
-		// Stamp the catalog identity so the witness file alone rebuilds
-		// the instance.
-		w.Protocol = protocol
-		w.Params = &normalized
-		if witOut != "" {
-			enc, err := w.Encode()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(witOut, enc, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "csverify: witness (%d fault + %d recovery steps) written to %s\n",
-				len(w.Steps), len(w.Recovery), witOut)
-		}
-	} else if witOut != "" {
+	w := sabRes.Witness
+	if w == nil {
 		fmt.Fprintf(os.Stderr, "csverify: no witness to write (no %d-fault schedule does damage)\n", sabRes.K)
+		return nil
 	}
-	if jsonOut {
-		res := service.ResultFromReport(inst.Name, rep)
-		res.Saboteur = service.SaboteurResultFrom(sabRes)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+	enc, err := w.Encode()
+	if err != nil {
+		return err
 	}
-	fmt.Printf("program %s: %d states\n", inst.Name, rep.Space.Count)
+	if err := os.WriteFile(witOut, enc, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "csverify: witness (%d fault + %d recovery steps) written to %s\n",
+		len(w.Steps), len(w.Recovery), witOut)
+	return nil
+}
+
+// printSabotage reports the worst k-fault schedule the search proved, and
+// the node budget it ran under.
+func printSabotage(c *service.Compiled, rep *verify.Report, sabRes *saboteur.Result) {
+	fmt.Printf("program %s: %d states\n", c.Name(), rep.Space.Count)
 	fmt.Printf("convergence: %s\n", rep.Unfair.Summary())
 	status := "optimal within k"
 	if !sabRes.Optimal {
-		status = fmt.Sprintf("budget %d exhausted, incumbent only", sabOpts.Budget)
+		status = "budget exhausted, incumbent only"
 	}
 	switch sabRes.Objective {
 	case saboteur.ObjectiveEscape:
 		if sabRes.Escaped {
-			fmt.Printf("saboteur: escape with %d faults (%s; expanded %d nodes)\n",
-				sabRes.Cost, status, sabRes.Expanded)
+			fmt.Printf("saboteur: escape with %d faults (%s; expanded %d of %d budgeted nodes)\n",
+				sabRes.Cost, status, sabRes.Expanded, sabRes.Budget)
 		} else {
-			fmt.Printf("saboteur: T confines every %d-fault schedule (%s; expanded %d nodes)\n",
-				sabRes.K, status, sabRes.Expanded)
+			fmt.Printf("saboteur: T confines every %d-fault schedule (%s; expanded %d of %d budgeted nodes)\n",
+				sabRes.K, status, sabRes.Expanded, sabRes.Budget)
 		}
 	default:
-		fmt.Printf("saboteur: worst %d-fault schedule forces %d recovery steps (%s; expanded %d nodes, %d rounds, Δmax %d)\n",
-			sabRes.K, sabRes.Cost, status, sabRes.Expanded, sabRes.Rounds, sabRes.DeltaMax)
+		fmt.Printf("saboteur: worst %d-fault schedule forces %d recovery steps (%s; expanded %d of %d budgeted nodes, %d rounds, Δmax %d)\n",
+			sabRes.K, sabRes.Cost, status, sabRes.Expanded, sabRes.Budget, sabRes.Rounds, sabRes.DeltaMax)
 	}
 	fmt.Printf("search time: %v\n", sabRes.Elapsed)
-	return nil
 }
 
-// runStored checks a protocol instance through the shared persistent
-// verdict store: the key is the same content-address csserved uses
-// (protocol + normalized params + semantic options), so a verdict computed
-// by either tool answers the other without re-verification. A store hit
-// skips the check entirely; a miss runs it and appends the verdict.
-func runStored(protocol string, params registry.Params, opts verify.Options, jsonOut bool, dir string) error {
-	normalized, err := registry.Normalize(protocol, params)
-	if err != nil {
-		return err
-	}
+// runStored checks a compiled job through the shared persistent verdict
+// store under the job's own content-address, so a verdict computed by
+// csverify or csserved answers the other without re-verification. A store
+// hit skips the check entirely; a miss runs it and appends the verdict.
+func runStored(c *service.Compiled, jsonOut bool, dir string, tracer obs.Tracer, prog *obs.Progress) error {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return fmt.Errorf("open store: %w", err)
 	}
 	defer st.Close()
 
-	key := service.FingerprintProtocol(protocol, normalized, opts)
+	key := c.Key()
 	if raw, ok := st.Get(key); ok {
 		var res service.Result
 		if err := json.Unmarshal(raw, &res); err == nil {
@@ -375,24 +314,14 @@ func runStored(protocol string, params registry.Params, opts verify.Options, jso
 		// overwrites it below.
 	}
 
-	inst, err := registry.Build(protocol, normalized)
+	rep, _, err := c.Run(context.Background(), tracer, prog, nil)
+	if rep != nil {
+		defer rep.Close()
+	}
 	if err != nil {
 		return err
 	}
-	if opts, err = applySymmetry(opts, inst, false); err != nil {
-		return err
-	}
-	count, ok := inst.Program.Schema.StateCount()
-	if !ok || count > effectiveCap(opts) {
-		return fmt.Errorf("state space too large to enumerate (%d states)", count)
-	}
-	rep, err := verify.Check(context.Background(), inst.Program, inst.S, inst.T,
-		verify.WithOptions(opts), verify.WithConstraints(registry.ConstraintSpecs(inst)...))
-	if err != nil {
-		return err
-	}
-	defer rep.Close()
-	res := service.ResultFromReport(inst.Name, rep)
+	res := c.Result(rep, nil)
 	raw, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -403,13 +332,19 @@ func runStored(protocol string, params registry.Params, opts verify.Options, jso
 	return emitResult(res, jsonOut)
 }
 
+// encodeJSON writes the shared service.Result wire encoding, so scripts
+// consume one format from csverify and csserved.
+func encodeJSON(res *service.Result) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(res)
+}
+
 // emitResult renders a stored-or-fresh Result: the shared JSON encoding
 // with -json, a compact verdict summary otherwise.
 func emitResult(res *service.Result, jsonOut bool) error {
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return encodeJSON(res)
 	}
 	fmt.Printf("program %s: %d states (|S|=%d, |T|=%d), classification: %s\n",
 		res.Program, res.States, res.StatesS, res.StatesT, res.Classification)
@@ -443,39 +378,23 @@ func emitResult(res *service.Result, jsonOut bool) error {
 	return nil
 }
 
-// effectiveCap resolves the zero-means-default convention for the
-// enumeration pre-checks below.
-func effectiveCap(opts verify.Options) int64 {
-	if opts.MaxStates > 0 {
-		return opts.MaxStates
+// verifyDesign validates a layered design against the paper's theorems,
+// then model-checks it. The validation and the per-constraint report
+// evaluate node-indexed predicates the symmetry group permutes, so this
+// path checks the concrete space; -json runs the quotient check.
+func verifyDesign(c *service.Compiled, tracer obs.Tracer, prog *obs.Progress) error {
+	if c.Options().SpaceMode == verify.SpaceQuotient {
+		return fmt.Errorf("the design-validation output evaluates per-constraint predicates, which are not symmetry-invariant; use -json for the quotient check")
 	}
-	return verify.DefaultMaxStates
-}
-
-// verifyJSON checks the instance and emits the same service.Result wire
-// encoding csserved returns, so scripts can consume one format from both.
-func verifyJSON(inst *registry.Instance, opts verify.Options) error {
-	count, ok := inst.Program.Schema.StateCount()
-	if !ok || count > effectiveCap(opts) {
-		return fmt.Errorf("state space too large to enumerate (%d states)", count)
-	}
-	rep, err := verify.Check(context.Background(), inst.Program, inst.S, inst.T,
-		verify.WithOptions(opts), verify.WithConstraints(registry.ConstraintSpecs(inst)...))
-	if err != nil {
-		return err
-	}
-	defer rep.Close()
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(service.ResultFromReport(inst.Name, rep))
-}
-
-func verifyDesign(d *core.Design, opts verify.Options) error {
+	c = c.WithoutSymmetry()
+	d := c.Design()
 	fmt.Printf("design %s: %d variables, %d closure actions, %d constraints\n",
 		d.Name, d.Schema.Len(), len(d.Closure), d.Set.Len())
 	fmt.Println()
 
 	fmt.Println("=== theorem validation (sufficient conditions) ===")
+	opts := c.Options()
+	opts.Tracer, opts.Progress = tracer, prog
 	applicable, all, err := d.Validate(opts.Strategy, opts)
 	if err != nil {
 		return err
@@ -496,57 +415,47 @@ func verifyDesign(d *core.Design, opts verify.Options) error {
 	fmt.Println()
 	fmt.Println("=== exact model checking ===")
 	count, ok := d.Schema.StateCount()
-	if !ok || count > effectiveCap(opts) {
+	if !ok || count > opts.MaxStates {
 		fmt.Printf("state space too large to enumerate (%d states); use cssim instead\n", count)
 		return nil
 	}
-	specs := make([]verify.ConstraintSpec, 0, len(d.Set.Constraints))
-	for _, c := range d.Set.Constraints {
-		specs = append(specs, verify.ConstraintSpec{Name: c.Pred.Name, Pred: c.Pred})
+	rep, _, err := c.Run(context.Background(), tracer, prog, nil)
+	if rep != nil {
+		defer rep.Close()
 	}
-	res, err := d.VerifyContext(context.Background(),
-		verify.WithOptions(opts), verify.WithConstraints(specs...))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("state space: %d states, classification: %v\n", count, res.Classification)
-	if res.Closure != nil {
-		fmt.Printf("closure: VIOLATED — %v\n", res.Closure)
+	fmt.Printf("state space: %d states, classification: %v\n", count, rep.Classification)
+	if rep.Closure != nil {
+		fmt.Printf("closure: VIOLATED — %v\n", rep.Closure)
 	} else {
 		fmt.Println("closure: S and T closed in p ∪ q")
 	}
-	fmt.Printf("convergence: %s\n", res.Unfair.Summary())
-	if !res.Unfair.Converges && res.FairOnly != nil {
-		fmt.Printf("fair convergence: %s\n", res.FairOnly.Summary())
+	fmt.Printf("convergence: %s\n", rep.Unfair.Summary())
+	if !rep.Unfair.Converges && rep.Fair != nil {
+		fmt.Printf("fair convergence: %s\n", rep.Fair.Summary())
 	}
+	res := core.VerifyResult{Closure: rep.Closure, Unfair: rep.Unfair, FairOnly: rep.Fair}
 	if res.Tolerant() {
 		fmt.Println("verdict: the program is T-tolerant for S")
 	} else {
 		fmt.Println("verdict: the program is NOT T-tolerant for S")
 	}
-	if res.Report != nil && res.Report.Metrics != nil {
+	if rep.Metrics != nil {
 		fmt.Println("\n=== tolerance metrics ===")
-		fmt.Print(res.Report.Metrics.Summary())
+		fmt.Print(rep.Metrics.Summary())
 	}
 	return nil
 }
 
-// verifyPlain model-checks a plain instance (no layered design) through
-// the unified Check entry point, adding the convergence-stair report for
-// instances that declare one (the composed protocol).
-func verifyPlain(inst *registry.Instance, opts verify.Options) error {
-	count, ok := inst.Program.Schema.StateCount()
-	if !ok || count > effectiveCap(opts) {
-		return fmt.Errorf("state space too large to enumerate (%d states)", count)
-	}
+// verifyPlain reports a plain instance's (no layered design) check,
+// adding the convergence-stair report for instances that declare one (the
+// composed protocol).
+func verifyPlain(c *service.Compiled, rep *verify.Report) error {
 	ctx := context.Background()
-	rep, err := verify.Check(ctx, inst.Program, inst.S, inst.T,
-		verify.WithOptions(opts), verify.WithConstraints(registry.ConstraintSpecs(inst)...))
-	if err != nil {
-		return err
-	}
-	defer rep.Close()
-	fmt.Printf("program %s: %d states\n", inst.Name, count)
+	count := rep.Space.FullCount
+	fmt.Printf("program %s: %d states\n", c.Name(), count)
 	if sym := rep.Space.Symmetry(); sym != nil {
 		reps, _ := rep.Space.QuotientStats()
 		fmt.Printf("symmetry %s: quotient of %d orbit representatives\n", sym.Name, reps)
@@ -562,9 +471,11 @@ func verifyPlain(inst *registry.Instance, opts verify.Options) error {
 	}
 	fmt.Printf("convergence: %s\n", rep.Unfair.Summary())
 	fair := rep.Fair
-	if len(inst.Stair) > 0 && fair == nil {
+	stair := c.Stair()
+	if len(stair) > 0 && fair == nil {
 		// The stair report below speaks about the fair daemon; compute its
 		// verdict even when the arbitrary daemon already converges.
+		var err error
 		if fair, err = rep.Space.CheckFairConvergenceContext(ctx); err != nil {
 			return err
 		}
@@ -572,13 +483,13 @@ func verifyPlain(inst *registry.Instance, opts verify.Options) error {
 	if fair != nil {
 		fmt.Printf("fair convergence: %s\n", fair.Summary())
 	}
-	if len(inst.Stair) > 0 {
-		stair, err := rep.Space.CheckStairContext(ctx, inst.Stair, true)
+	if len(stair) > 0 {
+		res, err := rep.Space.CheckStairContext(ctx, stair, true)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("convergence stair (true -> ... -> S, fair): ok=%v\n", stair.OK)
-		for _, step := range stair.Steps {
+		fmt.Printf("convergence stair (true -> ... -> S, fair): ok=%v\n", res.OK)
+		for _, step := range res.Steps {
 			fmt.Printf("  %s -> %s: closed=%v converges=%v %s\n",
 				step.From, step.To, step.Closed, step.Converges, step.Detail)
 		}

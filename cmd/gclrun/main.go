@@ -57,36 +57,29 @@ func main() {
 		}
 		return
 	}
-	opts := verify.Options{Workers: *workers, MaxStates: *maxStates, Metrics: *measure, SpillDir: *spillDir}
-	if *strategy == "exhaustive" {
-		opts.Strategy = verify.Exhaustive
-	} else {
-		opts.Strategy = verify.Projected
-	}
-	var flagErr error
-	if opts.SpaceMode, flagErr = verify.ParseSpaceMode(*spaceMode); flagErr != nil {
-		fmt.Fprintln(os.Stderr, "gclrun:", flagErr)
-		os.Exit(2)
-	}
-	if opts.SpaceMode == verify.SpaceQuotient {
-		// Mirrors the service's rejection: the quotient tier needs an
-		// advertised automorphism group, which only catalog protocols carry.
-		fmt.Fprintln(os.Stderr, "gclrun: -space-mode quotient needs an advertised symmetry group; GCL sources have none (use csverify -protocol for catalog instances)")
-		os.Exit(2)
+	// The flags spell a job spec for the service's own compiler, so gclrun
+	// validates options and refuses the quotient tier exactly as csserved
+	// does for a GCL source job.
+	opts := service.JobOptions{Workers: *workers, MaxStates: *maxStates, Strategy: *strategy, SpaceMode: *spaceMode}
+	if *measure {
+		opts.Analyses = []string{service.AnalysisMetrics}
 	}
 	// Both observability streams write stderr, keeping -json stdout clean.
-	var collector *obs.Collector
+	var (
+		collector *obs.Collector
+		tracer    obs.Tracer
+		prog      *obs.Progress
+	)
 	if *trace {
 		collector = &obs.Collector{}
-		opts.Tracer = collector
+		tracer = collector
 	}
 	stopProgress := func() {}
 	if *progress {
-		p := &obs.Progress{}
-		opts.Progress = p
-		stopProgress = p.Watch(500*time.Millisecond, printSnapshot)
+		prog = &obs.Progress{}
+		stopProgress = prog.Watch(500*time.Millisecond, printSnapshot)
 	}
-	err := run(flag.Arg(0), *printOnly, *jsonOut, opts)
+	err := run(flag.Arg(0), *printOnly, *jsonOut, opts, *spillDir, tracer, prog)
 	stopProgress()
 	if collector != nil {
 		fmt.Fprint(os.Stderr, obs.FormatTable(collector.Passes()))
@@ -155,65 +148,52 @@ func printSnapshot(s obs.Snapshot) {
 		s.Pass, s.Done, s.Elapsed.Round(time.Millisecond))
 }
 
-// effectiveCap resolves the zero-means-default state cap.
-func effectiveCap(opts verify.Options) int64 {
-	if opts.MaxStates > 0 {
-		return opts.MaxStates
-	}
-	return verify.DefaultMaxStates
-}
-
-func run(path string, printOnly, jsonOut bool, opts verify.Options) error {
+func run(path string, printOnly, jsonOut bool, opts service.JobOptions, spillDir string,
+	tracer obs.Tracer, prog *obs.Progress) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	file, err := gcl.Parse(string(src))
-	if err != nil {
-		return err
-	}
 	if printOnly {
-		fmt.Print(gcl.Print(file))
-		return nil
-	}
-	m, err := gcl.Compile(file)
-	if err != nil {
-		return err
-	}
-
-	// The metrics passes break recovery costs down by the module's compiled
-	// invariant conjuncts (one spec per invariant declaration).
-	specs := make([]verify.ConstraintSpec, 0, len(m.Set.Constraints))
-	for _, c := range m.Set.Constraints {
-		specs = append(specs, verify.ConstraintSpec{Name: c.Pred.Name, Pred: c.Pred})
-	}
-
-	if jsonOut {
-		count, ok := m.Schema.StateCount()
-		if !ok || count > effectiveCap(opts) {
-			return fmt.Errorf("state space too large to enumerate (%d states)", count)
-		}
-		rep, err := verify.Check(context.Background(), m.Program, m.S, m.T,
-			verify.WithOptions(opts), verify.WithConstraints(specs...))
+		file, err := gcl.Parse(string(src))
 		if err != nil {
 			return err
 		}
-		defer rep.Close()
+		fmt.Print(gcl.Print(file))
+		return nil
+	}
+	c, err := service.Compile(service.JobSpec{Source: string(src), Options: opts},
+		service.Config{SpillDir: spillDir})
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	if jsonOut {
+		rep, _, err := c.Run(ctx, tracer, prog, nil)
+		if rep != nil {
+			defer rep.Close()
+		}
+		if err != nil {
+			return err
+		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(service.ResultFromReport(m.Name, rep))
+		return enc.Encode(c.Result(rep, nil))
 	}
 
+	p := c.Program()
 	fmt.Printf("program %s: %d variables, %d actions, %d constraints\n",
-		m.Name, m.Schema.Len(), len(m.Program.Actions), m.Set.Len())
-	fmt.Print(m.Program.DescribeActions())
+		c.Name(), p.Schema.Len(), len(p.Actions), len(c.Constraints()))
+	fmt.Print(p.DescribeActions())
 
-	if m.Design == nil {
+	vopts := c.Options()
+	vopts.Tracer, vopts.Progress = tracer, prog
+	if d := c.Design(); d == nil {
 		fmt.Println("\nno complete invariant/convergence pairing (add 'establishes' clauses);")
 		fmt.Println("skipping theorem validation")
 	} else {
 		fmt.Println("\n=== theorem validation ===")
-		applicable, all, err := m.Design.Validate(opts.Strategy, opts)
+		applicable, all, err := d.Validate(vopts.Strategy, vopts)
 		if err != nil {
 			return err
 		}
@@ -221,7 +201,7 @@ func run(path string, printOnly, jsonOut bool, opts verify.Options) error {
 			fmt.Printf("%s", applicable)
 			if applicable.Graph != nil {
 				fmt.Println("constraint graph:")
-				fmt.Print(applicable.Graph.String(m.Schema))
+				fmt.Print(applicable.Graph.String(p.Schema))
 			}
 		} else {
 			fmt.Println("no sufficient condition applies; reports:")
@@ -231,18 +211,19 @@ func run(path string, printOnly, jsonOut bool, opts verify.Options) error {
 		}
 	}
 
-	count, ok := m.Schema.StateCount()
-	if !ok || count > effectiveCap(opts) {
+	count, ok := p.Schema.StateCount()
+	if !ok || count > vopts.MaxStates {
 		fmt.Printf("\nstate space too large to enumerate (%d states); stopping at validation\n", count)
 		return nil
 	}
 	fmt.Println("\n=== exact model checking ===")
-	rep, err := verify.Check(context.Background(), m.Program, m.S, m.T,
-		verify.WithOptions(opts), verify.WithConstraints(specs...))
+	rep, _, err := c.Run(ctx, tracer, prog, nil)
+	if rep != nil {
+		defer rep.Close()
+	}
 	if err != nil {
 		return err
 	}
-	defer rep.Close()
 	fmt.Printf("state space: %d states, |S| = %d, |T| = %d\n", count, rep.Space.CountS(), rep.Space.CountT())
 	if rep.Closure != nil {
 		fmt.Printf("closure: VIOLATED — %v\n", rep.Closure)

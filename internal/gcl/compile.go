@@ -365,6 +365,34 @@ func (c *compiler) domainOf(t TypeExpr) (program.Domain, error) {
 	}
 }
 
+// constShaped reports whether e is built only from literals and names
+// constEval can fold under env: bound parameters, constants, enum labels
+// and constant arrays indexed by such expressions. It formats no error,
+// so callers probing an expression that is usually not constant (an index
+// naming a quantifier variable or program state) skip constEval's
+// positioned error. constEval may still fail on a constant-shaped
+// expression (division by zero, an index out of range).
+func (c *compiler) constShaped(e Expr, env map[string]int32) bool {
+	switch n := e.(type) {
+	case *NumLit, *BoolLit:
+		return true
+	case *VarRef:
+		if n.Index != nil {
+			_, ok := c.arrays[n.Name]
+			return ok && c.constShaped(n.Index, env)
+		}
+		_, inEnv := env[n.Name]
+		_, isConst := c.consts[n.Name]
+		_, isEnum := c.enums[n.Name]
+		return inEnv || isConst || isEnum
+	case *Unary:
+		return c.constShaped(n.X, env)
+	case *Binary:
+		return c.constShaped(n.L, env) && c.constShaped(n.R, env)
+	}
+	return false
+}
+
 // constEval evaluates an expression that must not read program variables.
 // env binds action/invariant parameters.
 func (c *compiler) constEval(e Expr, env map[string]int32) (int32, error) {

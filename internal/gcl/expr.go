@@ -408,11 +408,13 @@ func (s *scope) compileVarRef(n *VarRef) (operand, error) {
 // under the current parameters (no quantifier variables or program state),
 // its value is returned as constIdx >= 0 and validated against length.
 func (s *scope) compileIndex(n *VarRef, length int) (idx operand, constIdx int32, err error) {
-	if v, cerr := s.c.constEval(n.Index, s.params); cerr == nil {
-		if v < 0 || int(v) >= length {
-			return operand{}, 0, errf(n.Pos, "index %d out of range for %q (length %d)", v, n.Name, length)
+	if s.c.constShaped(n.Index, s.params) {
+		if v, cerr := s.c.constEval(n.Index, s.params); cerr == nil {
+			if v < 0 || int(v) >= length {
+				return operand{}, 0, errf(n.Pos, "index %d out of range for %q (length %d)", v, n.Name, length)
+			}
+			return operand{}, v, nil
 		}
-		return operand{}, v, nil
 	}
 	idx, err = s.compileExpr(n.Index)
 	if err != nil {

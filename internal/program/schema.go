@@ -3,7 +3,7 @@ package program
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // VarID identifies a variable within a Schema. IDs are dense, starting at 0,
@@ -201,7 +201,7 @@ func (s *Schema) Index(st *State) int64 {
 // returning the (possibly shorter) slice. It is the canonical form used for
 // action footprints and predicate supports.
 func SortVarIDs(ids []VarID) []VarID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:0]
 	var prev VarID = -1
 	for _, id := range ids {

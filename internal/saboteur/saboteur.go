@@ -108,9 +108,10 @@ func (o Options) normalize() (Options, error) {
 
 // Result reports what one search established.
 type Result struct {
-	// Objective and K echo the normalized options.
+	// Objective, K and Budget echo the normalized options.
 	Objective string
 	K         int
+	Budget    int64
 	// Cost is the objective value of the incumbent schedule: worst-case
 	// recovery steps after the schedule (recovery), or the number of
 	// faults spent to leave the span (escape, when Escaped).
@@ -209,7 +210,7 @@ func Search(ctx context.Context, sp *verify.Space, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res.Objective, res.K, res.Elapsed = o.Objective, o.K, elapsed
+	res.Objective, res.K, res.Budget, res.Elapsed = o.Objective, o.K, o.Budget, elapsed
 	if res.Witness != nil {
 		res.Witness.Objective = o.Objective
 		res.Witness.K = o.K

@@ -189,7 +189,7 @@ type BatchStatus struct {
 type batch struct {
 	record
 	concurrency int
-	specs       []*compiled
+	specs       []*Compiled
 
 	// Guarded by record.mu.
 	state    BatchState
@@ -364,7 +364,7 @@ func expandSweep(sw *SweepSpec) ([]JobSpec, error) {
 
 // expandBatch resolves a batch spec into compiled members plus the
 // effective concurrency window.
-func expandBatch(spec BatchSpec, cfg Config) ([]*compiled, int, error) {
+func expandBatch(spec BatchSpec, cfg Config) ([]*Compiled, int, error) {
 	var (
 		jobSpecs []JobSpec
 		err      error
@@ -385,9 +385,9 @@ func expandBatch(spec BatchSpec, cfg Config) ([]*compiled, int, error) {
 	if len(jobSpecs) > maxBatchJobs {
 		return nil, 0, fmt.Errorf("batch lists %d jobs, cap is %d", len(jobSpecs), maxBatchJobs)
 	}
-	compiledSpecs := make([]*compiled, 0, len(jobSpecs))
+	compiledSpecs := make([]*Compiled, 0, len(jobSpecs))
 	for i, js := range jobSpecs {
-		c, cerr := compileSpec(js, cfg)
+		c, cerr := compileAdmitted(js, cfg)
 		if cerr != nil {
 			return nil, 0, fmt.Errorf("batch member %d: %w", i, cerr)
 		}

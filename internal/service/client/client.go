@@ -144,47 +144,62 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out interface{}) error {
+	resp, err := c.send(ctx, method, path, in, nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// send performs one request: in (when non-nil) as its JSON body, header
+// and the client's own headers set. A non-2xx response comes back as an
+// *APIError carrying the message of the service's {"error": …} envelope
+// (the raw body when it has none); otherwise the caller owns resp.Body.
+func (c *Client) send(ctx context.Context, method, path string, in interface{}, header http.Header) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range header {
+		req.Header[k] = v
 	}
 	for k, v := range c.headers {
 		req.Header.Set(k, v)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
+	// A body cut short still leaves the status code, which is the error.
+	data, _ := io.ReadAll(resp.Body)
+	var eb struct {
+		Error string `json:"error"`
 	}
-	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return &APIError{Code: resp.StatusCode, Msg: msg}
+	msg := strings.TrimSpace(string(data))
+	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
+		msg = eb.Error
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return nil, &APIError{Code: resp.StatusCode, Msg: msg}
 }
 
 // Submit posts a job and returns its admission status (already done on a
@@ -329,14 +344,7 @@ func (c *Client) Replicate(ctx context.Context, req service.ReplicateRequest) (s
 
 // MetricsText fetches the raw Prometheus exposition.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	for k, v := range c.headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, nil)
 	if err != nil {
 		return "", err
 	}
@@ -344,9 +352,6 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &APIError{Code: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
 	return string(data), nil
 }

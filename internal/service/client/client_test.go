@@ -131,3 +131,14 @@ func TestBackoffDelayGrowsAndCaps(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsTextDecodesAPIError: the exposition fetch shares the typed
+// error path, so a 4xx surfaces the envelope's message, not the raw JSON.
+func TestMetricsTextDecodesAPIError(t *testing.T) {
+	srv, _ := fakeServer(t, 1, http.StatusUnauthorized)
+	_, err := New(srv.URL, nil).MetricsText(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusUnauthorized || apiErr.Msg != "pushback" {
+		t.Fatalf("err = %#v, want APIError 401 with the decoded message", err)
+	}
+}

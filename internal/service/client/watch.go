@@ -65,32 +65,13 @@ func (w *Watcher) Close() error { return w.body.Close() }
 // watch opens one SSE endpoint. after resumes past an already-seen
 // sequence number via Last-Event-ID (0 = from the retained beginning).
 func (c *Client) watch(ctx context.Context, path string, after uint64) (*Watcher, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
+	header := http.Header{"Accept": {"text/event-stream"}}
 	if after > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
+		header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
 	}
-	for k, v := range c.headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, path, nil, header)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var eb struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return nil, &APIError{Code: resp.StatusCode, Msg: msg}
 	}
 	return &Watcher{body: resp.Body, br: bufio.NewReader(resp.Body)}, nil
 }

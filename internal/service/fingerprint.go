@@ -25,19 +25,11 @@ import (
 // and Strategy stays because it is recorded on the report the result is
 // rendered from.
 
-// optionsKey renders the semantically relevant options with defaults
-// resolved, so "0 = default" spellings share a cache line with the
-// explicit default.
+// optionsKey renders the semantically relevant options. The caller passes
+// options verifyOptions resolved, so "0 = default" spellings share a cache
+// line with the explicit default.
 func optionsKey(o verify.Options) string {
-	max := o.MaxStates
-	if max <= 0 {
-		max = verify.DefaultMaxStates
-	}
-	strat := o.Strategy
-	if strat == 0 {
-		strat = verify.Projected
-	}
-	key := fmt.Sprintf("max=%d strategy=%s", max, strat)
+	key := fmt.Sprintf("max=%d strategy=%s", o.MaxStates, o.Strategy)
 	// The analyses selector joins the key only when it changes the result
 	// payload: a metrics job must not be answered by a verdict-only cache
 	// line (it would lack the metrics block). Verdict-only keys stay
@@ -76,14 +68,6 @@ func digest(parts ...string) string {
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// FingerprintProtocol exposes the catalog job content-address to offline
-// tools (csverify -store) that share the service's verdict store: the same
-// protocol, normalized params, and options hash to the same key whether
-// the check ran in-process or behind csserved.
-func FingerprintProtocol(name string, p registry.Params, o verify.Options) string {
-	return fingerprintProtocol(name, p, o, nil)
 }
 
 // fingerprintSource keys a GCL job by its canonical (pretty-printed)

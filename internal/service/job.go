@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"nonmask/internal/constraint"
+	"nonmask/internal/core"
 	"nonmask/internal/gcl"
 	"nonmask/internal/obs"
 	"nonmask/internal/program"
@@ -155,20 +157,26 @@ type JobStatus struct {
 	FinishedAt time.Time `json:"finished_at"`
 }
 
-// compiled is a validated, runnable job payload: the checkable triple plus
+// Compiled is a validated, runnable job payload: the checkable triple plus
 // its content-address and effective options. Compilation (GCL parse/compile
 // or catalog build) happens synchronously at submission so malformed jobs
-// fail with 400 instead of occupying the queue.
-type compiled struct {
+// fail with 400 instead of occupying the queue. The CLIs compile their
+// flags through the same Compile and check through the same Run, so a
+// front end cannot drift from the service's option parsing or its
+// quotient soundness policy.
+type Compiled struct {
 	name string
 	prog *program.Program
 	s, t *program.Predicate
 	key  string
 	opts verify.Options
 	// constraints are the invariant conjuncts the metrics analyses break
-	// recovery costs down by (empty without a layered design, or when the
-	// job did not select metrics).
+	// recovery costs down by (empty without a layered design or stair).
 	constraints []verify.ConstraintSpec
+	// prose is what only the CLIs' prose reports read. It is one pointer,
+	// which compileAdmitted clears, so the job records csserved retains
+	// carry 8 bytes for it, not the design.
+	prose *prose
 	// protocol and params identify a catalog job for batch curve
 	// aggregation (empty/zero for GCL source jobs).
 	protocol string
@@ -185,7 +193,48 @@ type compiled struct {
 	tenant string
 }
 
-// verifyOptions resolves wire options against server defaults.
+// prose holds the parts of a compiled job only the CLIs' prose reports
+// read: the layered candidate triple the theorems validate (nil for plain
+// programs) and the declared convergence stair.
+type prose struct {
+	design *core.Design
+	stair  []*program.Predicate
+}
+
+// Name is the compiled program's name.
+func (c *Compiled) Name() string { return c.name }
+
+// Key is the job's content-address, the key of the result cache and of
+// every persistent verdict store.
+func (c *Compiled) Key() string { return c.key }
+
+// Program is the program the job checks.
+func (c *Compiled) Program() *program.Program { return c.prog }
+
+// Options are the effective checker options, defaults resolved.
+func (c *Compiled) Options() verify.Options { return c.opts }
+
+// Constraints are the per-constraint cost specs the metrics break
+// recovery down by.
+func (c *Compiled) Constraints() []verify.ConstraintSpec { return c.constraints }
+
+// Design is the layered candidate triple, nil for plain programs.
+func (c *Compiled) Design() *core.Design { return c.prose.design }
+
+// Stair is the declared convergence stair, outermost first.
+func (c *Compiled) Stair() []*program.Predicate { return c.prose.stair }
+
+// WithoutSymmetry returns a copy that checks the concrete space, for
+// reports that evaluate node-indexed predicates a symmetry group permutes.
+// Dropping the group is always sound; only the quotient tier is lost.
+func (c *Compiled) WithoutSymmetry() *Compiled {
+	cp := *c
+	cp.opts.Symmetry = nil
+	return &cp
+}
+
+// verifyOptions resolves wire options against server defaults. It is the
+// one place the zero-means-default state cap is resolved.
 func (o JobOptions) verifyOptions(cfg Config) (verify.Options, error) {
 	opts := verify.Options{Workers: o.Workers, MaxStates: o.MaxStates}
 	if opts.Workers == 0 {
@@ -193,6 +242,9 @@ func (o JobOptions) verifyOptions(cfg Config) (verify.Options, error) {
 	}
 	if opts.MaxStates == 0 {
 		opts.MaxStates = cfg.MaxStates
+	}
+	if opts.MaxStates == 0 {
+		opts.MaxStates = verify.DefaultMaxStates
 	}
 	switch o.Strategy {
 	case "", "projected":
@@ -230,8 +282,31 @@ func (o JobOptions) verifyOptions(cfg Config) (verify.Options, error) {
 	return opts, nil
 }
 
-// compileSpec validates and compiles a submission into a runnable job.
-func compileSpec(spec JobSpec, cfg Config) (*compiled, error) {
+// compileAdmitted is Compile behind the catalog's advertised parameter
+// bounds. The bounds guard queue slots against instances that would only
+// fail after waiting for an executor, so admission (single jobs and batch
+// members) applies them; the CLIs occupy no slot and bypass them.
+func compileAdmitted(spec JobSpec, cfg Config) (*Compiled, error) {
+	if spec.Protocol != "" && spec.Source == "" {
+		if err := registry.Validate(spec.Protocol, spec.Params); err != nil {
+			return nil, err
+		}
+	}
+	c, err := Compile(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Job records outlive their checks by RecordTTL, and no service path
+	// reads the prose parts; a GCL design alone holds its own S and
+	// constraint set, about 400 B a record on service-mix.
+	c.prose = nil
+	return c, nil
+}
+
+// Compile validates and compiles a submission into a runnable job: the
+// options, the triple, the saboteur request, the symmetry policy and the
+// content key.
+func Compile(spec JobSpec, cfg Config) (*Compiled, error) {
 	opts, err := spec.Options.verifyOptions(cfg)
 	if err != nil {
 		return nil, err
@@ -239,72 +314,51 @@ func compileSpec(spec JobSpec, cfg Config) (*compiled, error) {
 	if err := validateStaticOptions(opts); err != nil {
 		return nil, err
 	}
-	var sab *saboteur.Options
+	c := &Compiled{opts: opts, spec: spec}
 	if spec.Options.Saboteur != nil {
-		if sab, err = spec.Options.Saboteur.engineOptions(); err != nil {
+		if c.saboteur, err = spec.Options.Saboteur.engineOptions(); err != nil {
 			return nil, err
 		}
 	}
-	var priority bool
 	switch spec.Options.Priority {
 	case "", "normal":
 	case "high":
-		priority = true
+		c.priority = true
 	default:
 		return nil, fmt.Errorf("unknown priority %q (want normal | high)", spec.Options.Priority)
 	}
+	var sym *verify.Symmetry
 	switch {
 	case spec.Source != "" && spec.Protocol != "":
 		return nil, fmt.Errorf("job sets both source and protocol; pick one")
 	case spec.Source != "":
-		if opts.SpaceMode == verify.SpaceQuotient {
-			return nil, fmt.Errorf("space_mode=quotient requires a catalog protocol that advertises a symmetry group; GCL source jobs have none")
-		}
 		file, err := gcl.Parse(spec.Source)
 		if err != nil {
 			return nil, fmt.Errorf("parse: %w", err)
 		}
-		// Content-address the canonical pretty-printed form, so
-		// formatting- or comment-only variations share a cache entry.
-		canonical := gcl.Print(file)
 		m, err := gcl.Compile(file)
 		if err != nil {
 			return nil, fmt.Errorf("compile: %w", err)
 		}
-		if sab != nil {
+		if c.saboteur != nil {
 			// The saboteur enumerates the full space; reject instances
 			// over the effective cap at submission, like the catalog path.
-			max := opts.MaxStates
-			if max <= 0 {
-				max = verify.DefaultMaxStates
-			}
-			if count, ok := m.Program.Schema.StateCount(); !ok || count > max {
-				return nil, fmt.Errorf("saboteur requires an enumerable instance: %d states exceeds the advertised bound of %d states", count, max)
+			if count, ok := m.Program.Schema.StateCount(); !ok || count > opts.MaxStates {
+				return nil, fmt.Errorf("saboteur requires an enumerable instance: %d states exceeds the advertised bound of %d states", count, opts.MaxStates)
 			}
 		}
-		return &compiled{
-			name:        m.Name,
-			prog:        m.Program,
-			s:           m.S,
-			t:           m.T,
-			key:         fingerprintSource(canonical, opts, sab),
-			opts:        opts,
-			constraints: specsFromSet(m.Set),
-			saboteur:    sab,
-			spec:        spec,
-			priority:    priority,
-		}, nil
+		c.name, c.prog, c.s, c.t = m.Name, m.Program, m.S, m.T
+		c.prose = &prose{design: m.Design}
+		c.constraints = specsFromSet(m.Set)
+		// Content-address the canonical pretty-printed form, so
+		// formatting- or comment-only variations share a cache entry.
+		c.key = fingerprintSource(gcl.Print(file), opts, c.saboteur)
 	case spec.Protocol != "":
 		params, err := registry.Normalize(spec.Protocol, spec.Params)
 		if err != nil {
 			return nil, err
 		}
-		// Enforce the catalog's advertised parameter bounds before the job
-		// can occupy a queue slot; the error names the advertised range.
-		if err := registry.Validate(spec.Protocol, params); err != nil {
-			return nil, err
-		}
-		if sab != nil {
+		if c.saboteur != nil {
 			// The registry advertises which analyses each entry supports
 			// and checks enumerability against the effective state cap;
 			// its error names the advertised bound.
@@ -317,48 +371,79 @@ func compileSpec(spec JobSpec, cfg Config) (*compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		constraints := registry.ConstraintSpecs(inst)
-		// Attach the advertised symmetry group only to jobs the quotient is
-		// sound for: the saboteur searches the concrete transition graph
-		// (its witness must replay on real states), and the per-constraint
-		// recovery costs of layered designs are permuted — not preserved —
-		// by the group (registry.Instance documents the boundary). Auto mode
-		// silently stays on the full/spill ladder for those; an explicit
-		// quotient request is rejected with the reason.
-		sym := inst.Symmetry
-		switch {
-		case sab != nil:
-			if opts.SpaceMode == verify.SpaceQuotient {
-				return nil, fmt.Errorf("space_mode=quotient is incompatible with the saboteur: the fault-schedule witness must replay on concrete states, not orbit representatives")
-			}
-			sym = nil
-		case opts.Metrics && len(constraints) > 0:
-			if opts.SpaceMode == verify.SpaceQuotient {
-				return nil, fmt.Errorf("space_mode=quotient is incompatible with analyses=metrics on a layered design: per-constraint recovery costs are not symmetry-invariant; use space_mode=full or drop metrics")
-			}
-			sym = nil
-		}
-		if opts.SpaceMode == verify.SpaceQuotient && sym == nil {
-			return nil, fmt.Errorf("%s advertises no symmetry group; space_mode=quotient needs one", spec.Protocol)
-		}
-		opts.Symmetry = sym
-		return &compiled{
-			name:        inst.Name,
-			prog:        inst.Program,
-			s:           inst.S,
-			t:           inst.T,
-			key:         fingerprintProtocol(spec.Protocol, params, opts, sab),
-			opts:        opts,
-			constraints: constraints,
-			protocol:    spec.Protocol,
-			params:      params,
-			saboteur:    sab,
-			spec:        spec,
-			priority:    priority,
-		}, nil
+		c.name, c.prog, c.s, c.t = inst.Name, inst.Program, inst.S, inst.T
+		c.prose = &prose{design: inst.Design, stair: inst.Stair}
+		c.constraints = registry.ConstraintSpecs(inst)
+		c.protocol, c.params = spec.Protocol, params
+		c.key = fingerprintProtocol(spec.Protocol, params, opts, c.saboteur)
+		sym = inst.Symmetry
 	default:
 		return nil, fmt.Errorf("job sets neither source nor protocol")
 	}
+	// Attach the advertised symmetry group only to jobs the quotient is
+	// sound for: the saboteur searches the concrete transition graph (its
+	// witness must replay on real states), and the per-constraint recovery
+	// costs of layered designs are permuted — not preserved — by the group
+	// (registry.Instance documents the boundary). Auto mode silently stays
+	// on the full/spill ladder for those; an explicit quotient request is
+	// rejected with the reason. GCL sources advertise no group at all.
+	switch {
+	case c.saboteur != nil:
+		if opts.SpaceMode == verify.SpaceQuotient {
+			return nil, fmt.Errorf("space_mode=quotient is incompatible with the saboteur: the fault-schedule witness must replay on concrete states, not orbit representatives")
+		}
+		sym = nil
+	case opts.Metrics && len(c.constraints) > 0:
+		if opts.SpaceMode == verify.SpaceQuotient {
+			return nil, fmt.Errorf("space_mode=quotient is incompatible with analyses=metrics on a layered design: per-constraint recovery costs are not symmetry-invariant; use space_mode=full or drop metrics")
+		}
+		sym = nil
+	}
+	if opts.SpaceMode == verify.SpaceQuotient && sym == nil {
+		return nil, fmt.Errorf("%s advertises no symmetry group; space_mode=quotient needs a catalog protocol that does (GCL sources have none)", c.name)
+	}
+	c.opts.Symmetry = sym
+	return c, nil
+}
+
+// Run checks the compiled triple and, for saboteur jobs, searches the
+// worst k-fault schedule on the check's own space, stamping the catalog
+// identity onto its witness. Pass spans go to tracer and live counts to
+// progress (either may be nil); onImprove observes the search's
+// incumbents. The caller closes the report, which may be non-nil even
+// when err is not (a failed search).
+func (c *Compiled) Run(ctx context.Context, tracer obs.Tracer, progress *obs.Progress,
+	onImprove func(cost, faults int, expanded int64)) (*verify.Report, *saboteur.Result, error) {
+	rep, err := verify.Check(ctx, c.prog, c.s, c.t,
+		verify.WithOptions(c.opts), verify.WithConstraints(c.constraints...),
+		verify.WithTracer(tracer), verify.WithProgress(progress))
+	if err != nil || c.saboteur == nil {
+		return rep, nil, err
+	}
+	// The search runs on the check's own space, so its pass span joins
+	// the report's span collection (and the tracer) like any verifier pass.
+	sopts := *c.saboteur
+	sopts.OnImprove = onImprove
+	sab, err := saboteur.Search(ctx, rep.Space, sopts)
+	if err != nil {
+		return rep, nil, err
+	}
+	if w := sab.Witness; w != nil && c.protocol != "" {
+		// Stamp the catalog identity onto the witness so cssim -replay
+		// can rebuild the instance from the file alone.
+		w.Protocol = c.protocol
+		params := c.params
+		w.Params = &params
+	}
+	return rep, sab, nil
+}
+
+// Result renders a run as the wire result shared by the job API and the
+// CLIs' -json: the report's verdict plus the saboteur block, if any.
+func (c *Compiled) Result(rep *verify.Report, sab *saboteur.Result) *Result {
+	res := ResultFromReport(c.name, rep)
+	res.Saboteur = SaboteurResultFrom(sab)
+	return res
 }
 
 // specsFromSet converts a compiled constraint decomposition into the
@@ -420,7 +505,7 @@ type outcome struct {
 // job is the server-side record of one submission.
 type job struct {
 	record
-	c    *compiled
+	c    *Compiled
 	kind jobKind
 	// node is the server's cluster node name.
 	node string

@@ -42,7 +42,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 // exhausted (429), the queue is full (429), or the server is draining
 // (503).
 func (s *Server) SubmitAs(spec JobSpec, tenant string, forwarded bool) (JobStatus, error) {
-	c, err := compileSpec(spec, s.cfg)
+	c, err := compileAdmitted(spec, s.cfg)
 	if err != nil {
 		return JobStatus{}, s.reject(http.StatusBadRequest, tenant, "%v", err)
 	}
@@ -71,7 +71,7 @@ func (s *Server) SubmitAs(spec JobSpec, tenant string, forwarded bool) (JobStatu
 // owner node when a peer owns the key and this node holds no verdict for
 // it, and returns "" when the job belongs here — any node answers for a
 // verdict it already holds.
-func (s *Server) route(c *compiled) string {
+func (s *Server) route(c *Compiled) string {
 	rt := s.cfg.Router
 	if rt == nil {
 		return ""
@@ -90,7 +90,7 @@ func (s *Server) route(c *compiled) string {
 // answered by running the job here. An error carrying an HTTP status is
 // the owner's verdict and stands; anything else is a transport failure,
 // and a dead peer must degrade placement, not service.
-func (s *Server) fallBack(err error, node string, c *compiled) bool {
+func (s *Server) fallBack(err error, node string, c *Compiled) bool {
 	var he HTTPStatusError
 	if errors.As(err, &he) {
 		return false
@@ -106,7 +106,7 @@ func (s *Server) fallBack(err error, node string, c *compiled) bool {
 // coalesced mirror of an identical job in flight, or an executed job on
 // the queue unless the tenant's quota or the queue is full (429). Every
 // kind is refused while draining (503).
-func (s *Server) admit(c *compiled, owner string) (*job, error) {
+func (s *Server) admit(c *Compiled, owner string) (*job, error) {
 	now := time.Now()
 	s.mu.Lock()
 	if s.draining {
@@ -190,7 +190,7 @@ func (s *Server) admit(c *compiled, owner string) (*job, error) {
 
 // admitPatiently admits c, waiting out 429 pushback (a full queue or the
 // tenant's quota) on a short backoff until stop closes.
-func (s *Server) admitPatiently(c *compiled, owner string, stop <-chan struct{}) (*job, error) {
+func (s *Server) admitPatiently(c *Compiled, owner string, stop <-chan struct{}) (*job, error) {
 	for {
 		j, err := s.admit(c, owner)
 		if errorCode(err) != http.StatusTooManyRequests {
@@ -208,7 +208,7 @@ func (s *Server) admitPatiently(c *compiled, owner string, stop <-chan struct{})
 // this node's name, the event stream opened with "queued", and the table
 // row (s.mu held, so nothing sees the record before the caller is done
 // with it).
-func (s *Server) newJobLocked(c *compiled, kind jobKind, now time.Time) *job {
+func (s *Server) newJobLocked(c *Compiled, kind jobKind, now time.Time) *job {
 	s.seq++
 	j := &job{c: c, kind: kind, node: s.cfg.NodeName}
 	j.id = s.prefixID(fmt.Sprintf("j-%08d", s.seq))

@@ -8,7 +8,6 @@ import (
 
 	"nonmask/internal/protocols/registry"
 	"nonmask/internal/saboteur"
-	"nonmask/internal/verify"
 )
 
 // sabSpec is a catalog job that also requests the adversarial search.
@@ -240,11 +239,7 @@ func TestResultRoundTripPreservesUnknownFields(t *testing.T) {
 	dir := t.TempDir()
 	st := openStoreT(t, dir)
 	defer st.Close()
-	params, err := registry.Normalize("tokenring-ring", registry.Params{N: 3, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := FingerprintProtocol("tokenring-ring", params, verify.Options{})
+	key := mustKey(t, ringSpec(3, 5), Config{})
 	if err := st.Put(key, src); err != nil {
 		t.Fatal(err)
 	}

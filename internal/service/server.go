@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"nonmask/internal/obs"
-	"nonmask/internal/saboteur"
 	"nonmask/internal/store"
-	"nonmask/internal/verify"
 )
 
 // Defaults for Config's zero values.
@@ -387,7 +385,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 	return byID(context.Background(), s, id, 0, s.cancelJob, (*job).status)
 }
 
-// executor pulls jobs off the queues and runs them through verify.Check.
+// executor pulls jobs off the queues and runs them through Compiled.Run.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
@@ -461,12 +459,14 @@ func (s *Server) runJob(j *job) {
 		})
 	}
 	defer stopProg()
-	// The job's event stream turns each pass span into pass_start/pass_end
-	// events for live subscribers; the report collects the same spans.
-	rep, err := verify.Check(ctx, j.c.prog, j.c.s, j.c.t,
-		verify.WithOptions(j.c.opts), verify.WithConstraints(j.c.constraints...),
-		verify.WithTracer(j.events),
-		verify.WithProgress(prog))
+	// The job's event stream turns each pass span (the saboteur's search
+	// included) into pass_start/pass_end events for live subscribers; the
+	// report collects the same spans. Incumbent improvements stream as
+	// saboteur events.
+	rep, sabRes, err := j.c.Run(ctx, j.events, prog, func(cost, faults int, expanded int64) {
+		j.events.Publish(obs.Event{Type: obs.EventSaboteur,
+			Cost: int64(cost), Faults: faults, Done: expanded})
+	})
 	if rep != nil {
 		// Release the space's disk tier (mmap'd CSR segments) once the job
 		// is finished; a no-op for in-RAM spaces.
@@ -475,18 +475,6 @@ func (s *Server) runJob(j *job) {
 				jlog.Warn("space close failed", "error", cerr)
 			}
 		}()
-	}
-	var sabRes *saboteur.Result
-	if err == nil && j.c.saboteur != nil {
-		// The search runs on the check's own space, so its pass span joins
-		// the report's span collection (and the job's events) like any
-		// verifier pass. Incumbent improvements stream as saboteur events.
-		sopts := *j.c.saboteur
-		sopts.OnImprove = func(cost, faults int, expanded int64) {
-			j.events.Publish(obs.Event{Type: obs.EventSaboteur,
-				Cost: int64(cost), Faults: faults, Done: expanded})
-		}
-		sabRes, err = saboteur.Search(ctx, rep.Space, sopts)
 	}
 	// Stop the progress watcher before the terminal transition: streams
 	// end at the terminal job event, so nothing may publish after it.
@@ -505,16 +493,8 @@ func (s *Server) runJob(j *job) {
 		jlog.Warn("job "+string(state), "error", err, "elapsed_ms", now.Sub(start).Seconds()*1000)
 		return
 	}
-	res := ResultFromReport(j.c.name, rep)
+	res := j.c.Result(rep, sabRes)
 	if sabRes != nil {
-		if w := sabRes.Witness; w != nil && j.c.protocol != "" {
-			// Stamp the catalog identity onto the witness so cssim -replay
-			// can rebuild the instance from the file alone.
-			w.Protocol = j.c.protocol
-			params := j.c.params
-			w.Params = &params
-		}
-		res.Saboteur = SaboteurResultFrom(sabRes)
 		s.metrics.SaboteurJobs.Add(1)
 		s.metrics.SaboteurExpanded.Add(sabRes.Expanded)
 		if sabRes.Optimal {

@@ -137,7 +137,7 @@ func TestQueueOverflowRejectsWith429(t *testing.T) {
 
 func mustKey(t *testing.T, spec JobSpec, cfg Config) string {
 	t.Helper()
-	c, err := compileSpec(spec, cfg)
+	c, err := Compile(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
