@@ -79,6 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer res.Report.Close()
 	fmt.Printf("closure ok: %v\n", res.Closure == nil)
 	fmt.Printf("convergence (arbitrary daemon): %s\n", res.Unfair.Summary())
 	fmt.Printf("classification: %v\n", res.Classification)

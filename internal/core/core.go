@@ -191,7 +191,8 @@ type VerifyResult struct {
 	// Classification is masking or nonmasking (Section 3).
 	Classification verify.Classification
 	// Report is the underlying verify.Check report, carrying the
-	// enumerated space, timing, and effective options.
+	// enumerated space, timing, and effective options. Close it when done:
+	// on the spill tier its space holds mapped segment files until then.
 	Report *verify.Report
 }
 

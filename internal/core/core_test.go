@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -117,6 +118,50 @@ func TestVerifyTolerant(t *testing.T) {
 	if res.Classification != verify.Nonmasking {
 		t.Errorf("classification = %v", res.Classification)
 	}
+}
+
+// TestVerifyReportCloseReleasesSpill checks that a spill-tier Verify
+// holds its segment files until the report is closed, and leaves its
+// SpillDir empty after.
+func TestVerifyReportCloseReleasesSpill(t *testing.T) {
+	dir := t.TempDir()
+	res, err := buildCounter(t).Verify(verify.Options{SpaceMode: verify.SpaceSpill, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Tolerant() {
+		t.Fatalf("counter design not tolerant: %s", res.Unfair.Summary())
+	}
+	if n := spillHandles(t, dir); n == 0 {
+		t.Fatal("spill-mode Verify holds no file in its SpillDir")
+	}
+	if err := res.Report.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := spillHandles(t, dir); n != 0 {
+		t.Errorf("%d files in SpillDir still held after Report.Close", n)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("SpillDir holds %d entries after Report.Close", len(entries))
+	}
+}
+
+// spillHandles counts dir's entries plus this process's open descriptors
+// on files in it: segments opened with O_TMPFILE have no entry.
+func spillHandles(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(entries)
+	fds, _ := os.ReadDir("/proc/self/fd")
+	for _, fd := range fds {
+		if target, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(target, dir+"/") {
+			n++
+		}
+	}
+	return n
 }
 
 func TestValidatePicksTheorem(t *testing.T) {

@@ -60,6 +60,7 @@ func runA1() (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			res.Report.Close()
 			t.AddRow(variant.String(), tc.name,
 				verdict(r != nil),
 				verdict(res.Unfair.Converges),

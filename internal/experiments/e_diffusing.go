@@ -64,6 +64,7 @@ func runE3() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Report.Close()
 		t.AddRow(c.name, fmt.Sprintf("%d", c.tr.N()),
 			verdict(r != nil),
 			verdict(res.Closure == nil),

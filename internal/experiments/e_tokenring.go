@@ -45,6 +45,7 @@ func runE7() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Report.Close()
 		t.AddRow("path", fmt.Sprintf("%d", tc.n), fmt.Sprintf("%d", tc.k),
 			verdict(r != nil && r.Theorem == 3),
 			verdict(res.Unfair.Converges),

@@ -80,6 +80,7 @@ func runE9() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Report.Close()
 		t.AddRow(s.name, s.instance, "exact (all unfair schedules)",
 			verdict(res.Unfair.Converges),
 			fmt.Sprintf("worst %d steps", res.Unfair.WorstSteps))

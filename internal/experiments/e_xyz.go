@@ -82,6 +82,7 @@ func runE2() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Report.Close()
 		fair := res.Unfair.Converges
 		if !fair && res.FairOnly != nil {
 			fair = res.FairOnly.Converges

@@ -26,24 +26,40 @@ func (s *State) Get(id VarID) int32 { return s.vals[id] }
 // Bool returns the value of a boolean-encoded variable as a Go bool.
 func (s *State) Bool(id VarID) bool { return s.vals[id] != 0 }
 
-// Set assigns v to variable id. It panics if v is outside the variable's
-// domain: the guarded-command model has no out-of-domain states, so writing
-// one is always a bug in the action body (or an unclamped fault injector).
+// Set assigns v to variable id. It panics (with an error value) if v is
+// outside the variable's domain: the guarded-command model has no
+// out-of-domain states, so writing one is always a bug in the action body
+// (or an unclamped fault injector). Set is small enough to inline into
+// every action body.
 func (s *State) Set(id VarID, v int32) {
-	if d := s.schema.specs[id].Dom; !d.Contains(v) {
-		panic(fmt.Sprintf("program: value %d outside domain %s of %s",
-			v, d, s.schema.specs[id].Name))
+	// Domain.Contains, reading the spec in place.
+	if d := &s.schema.specs[id].Dom; d.Kind == 0 || v < d.Min || v > d.Max {
+		panic(&domainError{s.schema, id, v})
 	}
 	s.vals[id] = v
 }
 
 // SetBool assigns a boolean value to variable id.
 func (s *State) SetBool(id VarID, v bool) {
+	var n int32
 	if v {
-		s.Set(id, 1)
-	} else {
-		s.Set(id, 0)
+		n = 1
 	}
+	s.Set(id, n)
+}
+
+// domainError is the panic value of a State.Set outside the variable's
+// domain. Its message is built only when read, which keeps Set small
+// enough to inline.
+type domainError struct {
+	schema *Schema
+	id     VarID
+	v      int32
+}
+
+func (e *domainError) Error() string {
+	sp := e.schema.specs[e.id]
+	return fmt.Sprintf("program: value %d outside domain %s of %s", e.v, sp.Dom, sp.Name)
 }
 
 // Clone returns an independent copy of the state.

@@ -41,6 +41,37 @@ func TestStateSetPanicsOutOfDomain(t *testing.T) {
 	st.Set(x, 10)
 }
 
+// TestStateSetPanicMessage pins the panic value of an out-of-domain Set
+// and SetBool: an error whose message names the value, the domain and
+// the variable.
+func TestStateSetPanicMessage(t *testing.T) {
+	s, x, _ := twoVarSchema(t)
+	e := s.MustDeclare("e", Enum("red", "green"))
+	z := s.MustDeclare("z", IntRange(2, 3))
+	for _, c := range []struct {
+		set  func(*State)
+		want string
+	}{
+		{func(st *State) { st.Set(x, 10) }, "program: value 10 outside domain 0..9 of x"},
+		{func(st *State) { st.Set(x, -1) }, "program: value -1 outside domain 0..9 of x"},
+		{func(st *State) { st.Set(e, 2) }, "program: value 2 outside domain {red, green} of e"},
+		{func(st *State) { st.SetBool(z, false) }, "program: value 0 outside domain 2..3 of z"},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok {
+					t.Fatalf("panic value is not an error")
+				}
+				if got := err.Error(); got != c.want {
+					t.Errorf("panic message %q, want %q", got, c.want)
+				}
+			}()
+			c.set(s.NewState())
+		}()
+	}
+}
+
 func TestStateCloneIsIndependent(t *testing.T) {
 	s, x, _ := twoVarSchema(t)
 	st := s.NewState()

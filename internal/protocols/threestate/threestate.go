@@ -85,7 +85,7 @@ func New(n int) (*Instance, error) {
 
 	inst := &Instance{N: n, P: p, X: x, Groups: groups}
 	inst.S = program.NewPredicate("exactly one privilege", x,
-		func(st *program.State) bool { return inst.PrivilegeCount(st) == 1 })
+		func(st *program.State) bool { return inst.PrivilegeHolder(st) >= 0 })
 	return inst, nil
 }
 
@@ -113,6 +113,21 @@ func (inst *Instance) PrivilegeCount(st *program.State) int {
 		}
 	}
 	return n
+}
+
+// PrivilegeHolder returns the privileged machine when exactly one exists,
+// else -1. It stops at the second privileged machine.
+func (inst *Instance) PrivilegeHolder(st *program.State) int {
+	holder := -1
+	for j := 0; j <= inst.N; j++ {
+		if inst.Privileged(st, j) {
+			if holder >= 0 {
+				return -1
+			}
+			holder = j
+		}
+	}
+	return holder
 }
 
 // AllZero returns the state with every machine at 0.

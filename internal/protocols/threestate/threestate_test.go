@@ -214,3 +214,25 @@ func TestCirculationProved(t *testing.T) {
 		}
 	}
 }
+
+// TestSIsExactlyOnePrivilege checks, at every state of the N=5 array, that S
+// (which stops counting at the second privileged machine) holds exactly when
+// one machine is privileged, and that PrivilegeHolder names that machine.
+func TestSIsExactlyOnePrivilege(t *testing.T) {
+	inst, err := New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := inst.P.Schema
+	count, _ := schema.StateCount()
+	for i := int64(0); i < count; i++ {
+		st := schema.StateAt(i)
+		one := inst.PrivilegeCount(st) == 1
+		if inst.S.Holds(st) != one {
+			t.Fatalf("S.Holds(%s) = %v, PrivilegeCount = %d", st, !one, inst.PrivilegeCount(st))
+		}
+		if h := inst.PrivilegeHolder(st); (h >= 0) != one || (one && !inst.Privileged(st, h)) {
+			t.Fatalf("PrivilegeHolder(%s) = %d, PrivilegeCount = %d", st, h, inst.PrivilegeCount(st))
+		}
+	}
+}

@@ -183,7 +183,7 @@ func NewRing(n, k int) (*RingInstance, error) {
 	}
 	inst := &RingInstance{N: n, K: k, P: p, X: x, Groups: groups}
 	inst.S = program.NewPredicate("exactly one privilege", x,
-		func(st *program.State) bool { return inst.PrivilegeCount(st) == 1 })
+		func(st *program.State) bool { return inst.PrivilegeHolder(st) >= 0 })
 	return inst, nil
 }
 

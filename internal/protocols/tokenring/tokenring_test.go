@@ -364,3 +364,25 @@ func TestRingCirculationProved(t *testing.T) {
 		}
 	}
 }
+
+// TestSIsExactlyOnePrivilege checks, at every state of the ring N=3 K=4, that S
+// (which stops counting at the second privileged node) holds exactly when
+// one node is privileged, and that PrivilegeHolder names that node.
+func TestSIsExactlyOnePrivilege(t *testing.T) {
+	inst, err := NewRing(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := inst.P.Schema
+	count, _ := schema.StateCount()
+	for i := int64(0); i < count; i++ {
+		st := schema.StateAt(i)
+		one := inst.PrivilegeCount(st) == 1
+		if inst.S.Holds(st) != one {
+			t.Fatalf("S.Holds(%s) = %v, PrivilegeCount = %d", st, !one, inst.PrivilegeCount(st))
+		}
+		if h := inst.PrivilegeHolder(st); (h >= 0) != one || (one && !inst.Privileged(st, h)) {
+			t.Fatalf("PrivilegeHolder(%s) = %d, PrivilegeCount = %d", st, h, inst.PrivilegeCount(st))
+		}
+	}
+}

@@ -52,8 +52,8 @@ func BenchmarkConvergenceWorkers1(b *testing.B) { benchConvergence(b, 1) }
 // BenchmarkConvergenceWorkers4 is the sharded run the speedup claim
 // compares against BenchmarkConvergenceWorkers1 (compare with
 // benchstat or the ns/op ratio; the ratio requires >= 4 CPUs to show).
-// Enumeration, the successor index, the closure scans and the region
-// scan shard; the verdict's longest-path DFS is sequential at every
+// Enumeration, the successor index, the closure scans and the verdict's
+// border sweeps shard; its longest-path DFS is sequential at every
 // worker count, so the ratio bounds what the sharded passes buy.
 func BenchmarkConvergenceWorkers4(b *testing.B) { benchConvergence(b, 4) }
 

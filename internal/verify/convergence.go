@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
+	"nonmask/internal/obs"
 	"nonmask/internal/program"
 )
 
@@ -117,9 +119,18 @@ func (sp *Space) unfair(ctx context.Context) (*ConvergenceResult, []int32, error
 	return sp.unfairRes, sp.stepsTab, nil
 }
 
-// stuckSteps marks, in longestPaths' steps table, a region state that
-// reaches a region cycle.
-const stuckSteps = math.MinInt32
+// Entries of longestPaths' steps table outside its region states: a
+// region state that reaches a region cycle (stuckSteps), and the marks the
+// border sweep (markBorder) leaves on the states the DFS must not enter.
+// A final entry counts distinct region states on one path, so it is at
+// most |T∧¬S| ≤ Count−1 ≤ MaxInt32−1 (csrFits): never markNotT, and
+// markS only at a state whose path holds every region state, which no
+// region edge therefore enters.
+const (
+	stuckSteps = math.MinInt32
+	markNotT   = math.MaxInt32     // ¬T: an edge into it escapes T
+	markS      = math.MaxInt32 - 1 // S∧T: one step from a region state
+)
 
 // longestPaths decides arbitrary-daemon convergence and computes the
 // exact worst-case steps table,
@@ -127,28 +138,37 @@ const stuckSteps = math.MinInt32
 //	steps[i] = max over enabled actions of (1 if succ∈S else steps[succ]+1),
 //
 // by one iterative post-order DFS over the forward CSR restricted to the
-// region T∧¬S. Roots go in ascending state order and edges in CSR
-// (action) order. steps doubles as the colour: 0 is unvisited, ≥1 is
-// final, and a negative entry is a state on the DFS path (holding −1 −
-// its best so far) or stuckSteps. A state finishes once every edge is
-// examined; it is stuck when some region successor was on the path (a
-// cycle closes) or stuck (a cycle is reachable). The stuck states are
-// therefore exactly the region states that reach a region cycle, and
-// cycleWitness extracts a concrete cycle from them.
+// region T∧¬S. A sharded border sweep first marks the S and ¬T states in
+// steps, so the DFS reads one entry per edge and no membership bit. Roots
+// go in ascending state order and edges in CSR (action) order. steps
+// doubles as the colour: 0 is an unvisited region state, ≥1 is final,
+// and a negative entry is a state on the DFS path (holding −1 − its best
+// so far) or stuckSteps. A state finishes once every edge is examined; it
+// is stuck when some region successor was on the path (a cycle closes) or
+// stuck (a cycle is reachable). The stuck states are therefore exactly the
+// region states that reach a region cycle, and cycleWitness extracts a
+// concrete cycle from them.
+//
+// The DFS pushes every region state and examines every region edge, so it
+// also meets every way out of the region other than S: an edge into a
+// markNotT state (an escape) or a pushed state with an empty row (a
+// deadlock). Meeting one ends the walk, and the region scan (regionExits)
+// names the minimum-index witness, an escape taking precedence; a cycle
+// is the verdict only when the walk finishes without one.
 //
 // Each frame is 12 bytes (state, next and end edge positions, resolved
 // once when it is pushed); on an acyclic region the stack is at most
 // WorstSteps+1 deep, and the span reports the peak depth as its
 // Frontier. The walk is sequential at every worker count; only the
-// region scan before it is sharded.
+// border sweeps before and after it are sharded.
 //
-// The returned steps table (valid only when res.Converges) is the exact
-// variant function of the paper's Section 8: it strictly decreases on every
-// convergence step under the worst daemon.
+// The returned steps table (valid only when res.Converges, its marks
+// cleared to 0) is the exact variant function of the paper's Section 8:
+// it strictly decreases on every convergence step under the worst daemon.
 func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []int32, err error) {
 	region := countAndNot(sp.inT, sp.inS)
-	// Progress: the region scan visits every state, then the DFS finishes
-	// every region state once.
+	// Progress: the border sweep visits every state, then the DFS
+	// finishes every region state once.
 	span := startPass(sp.opts, PassConvergeUnfair, sp.Count+region)
 	defer func() {
 		if err == nil {
@@ -161,10 +181,8 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 	if res.StatesOutsideS == 0 {
 		return res, steps, nil
 	}
-	if exits, err := sp.regionExits(ctx, res); err != nil {
+	if err := sp.markBorder(ctx, steps, markS, markNotT, sp.opts.Progress); err != nil {
 		return nil, nil, err
-	} else if exits {
-		return res, nil, nil
 	}
 
 	type frame struct {
@@ -178,14 +196,20 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 		worst    int32
 		sum      int64
 		cyclic   bool
+		exit     bool
 	)
-	g, inS := sp.idx, sp.inS
+	g := sp.idx
+peel:
 	for root := int64(0); root < sp.Count; root++ {
-		if !sp.region(root) || steps[root] != 0 {
+		if steps[root] != 0 {
 			continue
 		}
-		steps[root] = -1
 		lo, hi := g.row(root)
+		if lo == hi {
+			exit = true // deadlock
+			break
+		}
+		steps[root] = -1
 		stack = append(stack, frame{state: int32(root), next: lo, end: hi})
 		peak = max(peak, 1)
 	walk:
@@ -196,23 +220,27 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 			row := g.edges[v>>chunkShift]
 			for e := f.next; e < f.end; e++ {
 				j := row[e]
-				if inS.get(int64(j)) {
-					acc = min(acc, -2)
-					continue
-				}
-				// No edge escapes T (regionExits), so j is a region state.
 				switch d := steps[j]; {
-				case d > 0:
+				case d > 0 && d < markS:
 					acc = min(acc, -2-d)
-				case d < 0:
-					acc = stuckSteps
-				default:
+				case d == markS:
+					acc = min(acc, -2)
+				case d == 0:
+					lo, hi := g.row(int64(j))
+					if lo == hi {
+						exit = true // deadlock
+						break peel
+					}
 					steps[v], f.next = acc, e+1
 					steps[j] = -1
-					lo, hi := g.row(int64(j))
 					stack = append(stack, frame{state: j, next: lo, end: hi})
 					peak = max(peak, len(stack))
 					continue walk
+				case d == markNotT:
+					exit = true // escape
+					break peel
+				default: // on the path or stuck
+					acc = stuckSteps
 				}
 			}
 			stack = stack[:len(stack)-1]
@@ -240,6 +268,12 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 			}
 		}
 	}
+	if exit {
+		if _, err := sp.regionExits(ctx, res, nil); err != nil {
+			return nil, nil, err
+		}
+		return res, nil, nil
+	}
 	sp.opts.Progress.Add(finished % chunkStates)
 	span.observeFrontier(int64(peak))
 	if cyclic {
@@ -247,18 +281,42 @@ func (sp *Space) longestPaths(ctx context.Context) (res *ConvergenceResult, _ []
 		res.Cycle = sp.cycleWitness(steps)
 		return res, nil, nil
 	}
+	if err := sp.markBorder(ctx, steps, 0, 0, nil); err != nil {
+		return nil, nil, err
+	}
 	res.WorstSteps = int(worst)
 	res.MeanSteps = float64(sum) / float64(res.StatesOutsideS)
 	return res, steps, nil
 }
 
+// markBorder writes s into steps at every S state and notT at every ¬T
+// state (notT winning on S∧¬T), leaving the region's entries alone. It
+// shards over the inS/inT words, and prog counts every state.
+func (sp *Space) markBorder(ctx context.Context, steps []int32, s, notT int32, prog *obs.Progress) error {
+	return parallelRange(ctx, sp.workers(), sp.Count, prog, func(_ int, lo, hi int64) {
+		for w := lo >> 6; w<<6 < hi; w++ {
+			base := w << 6
+			out := ^sp.inT[w]
+			if n := hi - base; n < 64 {
+				out &= 1<<uint(n) - 1
+			}
+			for in := sp.inS[w] &^ out; in != 0; in &= in - 1 {
+				steps[base+int64(bits.TrailingZeros64(in))] = s
+			}
+			for ; out != 0; out &= out - 1 {
+				steps[base+int64(bits.TrailingZeros64(out))] = notT
+			}
+		}
+	})
+}
+
 // regionExits scans the region T∧¬S for the ways a computation leaves it
 // other than into S — an edge escaping T, or a deadlock — and records the
 // minimum-index witness of either on res (exitWitness). It reports
-// whether one was found.
-func (sp *Space) regionExits(ctx context.Context, res *ConvergenceResult) (bool, error) {
+// whether one was found; prog counts every state.
+func (sp *Space) regionExits(ctx context.Context, res *ConvergenceResult, prog *obs.Progress) (bool, error) {
 	escape, deadlock := newWitness(), newWitness()
-	err := parallelRange(ctx, sp.workers(), sp.Count, sp.opts.Progress, func(_ int, lo, hi int64) {
+	err := parallelRange(ctx, sp.workers(), sp.Count, prog, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			if !sp.region(i) {
 				continue
@@ -301,13 +359,13 @@ func (sp *Space) exitWitness(res *ConvergenceResult, escape, deadlock *witness) 
 }
 
 // cycleWitness extracts a concrete region cycle from the stuck states of
-// a longestPaths table (the negative entries: the region states that
-// reach a region cycle). Every such state has at least one stuck region
+// a longestPaths table (the negative entries, its border marks still in
+// place: the region states that reach a region cycle). Every such state has at least one stuck region
 // successor, so a DFS restricted to them must close a cycle; the DFS
 // stack at the moment the back edge appears is the cycle, in forward
 // order.
 func (sp *Space) cycleWitness(steps []int32) []*program.State {
-	unresolved := func(i int64) bool { return sp.region(i) && steps[i] < 0 }
+	unresolved := func(i int64) bool { return steps[i] < 0 }
 	color := make([]uint8, sp.Count)
 	type frame struct {
 		i   int64
@@ -399,8 +457,8 @@ func (sp *Space) CheckFairConvergenceContext(ctx context.Context) (res *Converge
 		return res, nil
 	}
 
-	// Escapes and deadlocks first, by the arbitrary-daemon verdict's scan.
-	if exits, err := sp.regionExits(ctx, res); err != nil {
+	// Escapes and deadlocks first, by the region scan.
+	if exits, err := sp.regionExits(ctx, res, sp.opts.Progress); err != nil {
 		return nil, err
 	} else if exits {
 		return res, nil

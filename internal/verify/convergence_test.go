@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func TestConvergenceCounter(t *testing.T) {
 
 // cancelInDFS is a context that reports cancellation once the
 // arbitrary-daemon pass has counted more than after units of progress:
-// the region scan counts every state of the space, so after = Count fires
+// the border sweep counts every state of the space, so after = Count fires
 // during the longest-path DFS that follows it.
 type cancelInDFS struct {
 	context.Context
@@ -321,6 +322,139 @@ func TestConvergenceEscapeFromT(t *testing.T) {
 	if fres.Converges || fres.Escape == nil {
 		t.Errorf("fair escape not detected: %+v", fres)
 	}
+}
+
+// lineAct is one action of lineModel: next maps x to its successor, or
+// to -1 where the action is disabled.
+type lineAct struct {
+	name string
+	next func(x int32) int32
+}
+
+// lineModel is one variable x ∈ 0..m with hand-shaped actions, S and T,
+// for placing a region's exits where the longest-path DFS meets them late.
+func lineModel(m int32, S, T func(int32) bool, acts ...lineAct) (*program.Program, *program.Predicate, *program.Predicate) {
+	s := program.NewSchema()
+	x := s.MustDeclare("x", program.IntRange(0, m))
+	p := program.New("line", s)
+	for _, a := range acts {
+		p.Add(program.NewAction(a.name, program.Closure,
+			[]program.VarID{x}, []program.VarID{x},
+			func(st *program.State) bool { return a.next(st.Get(x)) >= 0 },
+			func(st *program.State) { st.Set(x, a.next(st.Get(x))) }))
+	}
+	pred := func(name string, f func(int32) bool) *program.Predicate {
+		return program.NewPredicate(name, []program.VarID{x},
+			func(st *program.State) bool { return f(st.Get(x)) })
+	}
+	return p, pred("S", S), pred("T", T)
+}
+
+// TestUnfairFindsExitsInTheWalk pins the arbitrary-daemon verdict on
+// regions whose exits the DFS meets itself, deep in the walk or after a
+// cycle: the verdict names the same minimum-index Escape or Deadlock as
+// the region scan (regionExits), on both CSR tiers and at 1 and 4
+// workers, an escape winning over a cycle.
+func TestUnfairFindsExitsInTheWalk(t *testing.T) {
+	const m = 3*chunkStates + 5 // a few chunks, so the scans shard
+	const k = 7                 // the second deadlock's state
+	isZero := func(x int32) bool { return x == 0 }
+	belowM := func(x int32) bool { return x < m }
+	always := func(int32) bool { return true }
+	up := func(from int32) lineAct {
+		return lineAct{"up", func(x int32) int32 {
+			if x >= from && x < m {
+				return x + 1
+			}
+			return -1
+		}}
+	}
+	for _, c := range []struct {
+		name     string
+		S, T     func(int32) bool
+		acts     []lineAct
+		escape   int64 // expected witness state, -1 = none
+		deadlock int64
+	}{
+		// 1 → 2 → … → m−1 → m ∉ T: the only escape, from the highest-index
+		// region state, at the bottom of the first root's walk.
+		{"deep escape", isZero, belowM, []lineAct{up(1)}, m - 1, -1},
+		// 1 ⇄ 2 is a region cycle the walk finishes first; 3 → … → m
+		// escapes.
+		{"escape beside a cycle", isZero, belowM, []lineAct{
+			{"swap", func(x int32) int32 {
+				if x == 1 || x == 2 {
+					return 3 - x
+				}
+				return -1
+			}}, up(3)}, m - 1, -1},
+		// 1 → … → m, and m has no action: a deadlock reached only through
+		// other region states.
+		{"deep deadlock", isZero, always, []lineAct{up(1)}, -1, m},
+		// The walk from 1 skips k and deadlocks at m first; k, a root
+		// the walk never reaches, is the minimum-index deadlock.
+		{"walk meets the higher deadlock first", isZero, always, []lineAct{{"up", func(x int32) int32 {
+			switch {
+			case x == k-1:
+				return k + 1
+			case x >= 1 && x < m && x != k:
+				return x + 1
+			}
+			return -1
+		}}}, -1, k},
+	} {
+		p, S, T := lineModel(m, c.S, c.T, c.acts...)
+		for _, mode := range []SpaceMode{SpaceFull, SpaceSpill} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%v/workers=%d", c.name, mode, workers)
+				sp, err := NewSpaceContext(context.Background(), p, S, T, Options{
+					SpaceMode: mode, SpillDir: t.TempDir(), Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sp.CheckConvergenceContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan := &ConvergenceResult{Converges: true}
+				if _, err := sp.regionExits(context.Background(), scan, nil); err != nil {
+					t.Fatal(err)
+				}
+				if res.Converges || res.Cycle != nil {
+					t.Errorf("%s: %s, want an exit", name, res.Summary())
+				}
+				if got, want := exitString(res), exitString(scan); got != want {
+					t.Errorf("%s: verdict exit %s, region scan %s", name, got, want)
+				}
+				escape, deadlock := int64(-1), int64(-1)
+				if res.Escape != nil {
+					escape = sp.indexOf(res.Escape.State)
+				}
+				if res.Deadlock != nil {
+					deadlock = sp.indexOf(res.Deadlock)
+				}
+				if escape != c.escape || deadlock != c.deadlock {
+					t.Errorf("%s: escape at %d, deadlock at %d; want %d, %d", name, escape, deadlock, c.escape, c.deadlock)
+				}
+				if _, ok := sp.WorstDistances(); ok {
+					t.Errorf("%s: a steps table for a region with an exit", name)
+				}
+				sp.Close()
+			}
+		}
+	}
+}
+
+// exitString renders a verdict's Escape and Deadlock witnesses.
+func exitString(res *ConvergenceResult) string {
+	var esc, dead string
+	if e := res.Escape; e != nil {
+		esc = fmt.Sprintf("%s --%s--> %s", e.State, e.Action.Name, e.Next)
+	}
+	if res.Deadlock != nil {
+		dead = res.Deadlock.String()
+	}
+	return fmt.Sprintf("escape[%s] deadlock[%s]", esc, dead)
 }
 
 func TestConvergenceRestrictedToT(t *testing.T) {

@@ -16,8 +16,8 @@
 // bitsets, one-step successors are precomputed into a CSR transition graph
 // covering only enabled edges (with a lazily built, cached reverse CSR for
 // the metrics suite's backward passes), and the passes — space
-// construction, closure scans, the convergence region scans, fault-span
-// and leads-to reachability — are sharded across a worker pool
+// construction, closure scans, the convergence verdicts' region scans and
+// border sweeps, fault-span and leads-to reachability — are sharded across a worker pool
 // (Options.Workers) with context cancellation polled between chunks. The
 // arbitrary-daemon verdict's longest-path DFS and the fair check's Tarjan
 // pass walk the CSR sequentially. The unified entry point is Check;

@@ -25,8 +25,8 @@ const (
 	// PassClosure is one closure scan of one predicate.
 	PassClosure = "closure"
 	// PassConvergeUnfair is the arbitrary-daemon convergence verdict: the
-	// region scan plus the longest-path DFS (its frontier is the peak DFS
-	// depth).
+	// border sweep plus the longest-path DFS (its frontier is the peak DFS
+	// depth), and the region scan only when the DFS meets an exit.
 	PassConvergeUnfair = "converge_unfair"
 	// PassConvergeFair is the weakly-fair-daemon SCC analysis, including
 	// its region-graph build.
