@@ -27,9 +27,9 @@
 // With -peers, the server is one replica of a static cluster: job
 // fingerprints map to owner nodes by rendezvous hashing, submissions
 // and id-addressed reads are forwarded or proxied to the owner, and
-// (with -store) an anti-entropy loop converges every replica's verdict
-// store, so any node answers for any cached fingerprint even after the
-// owner dies. -tokens-file adds bearer-token tenants with per-tenant
+// (with -store) long-polled anti-entropy pulls converge every replica's
+// verdict store, so any node answers for any cached fingerprint even
+// after the owner dies. -tokens-file adds bearer-token tenants with per-tenant
 // rate limits and in-flight quotas; jobs may submit with
 // options.priority "high" to preempt queue order.
 //
@@ -86,7 +86,7 @@ func main() {
 		self         = flag.String("self", "", "this node's advertised base URL; must appear in -peers")
 		clusterToken = flag.String("cluster-token", "", "shared secret peers authenticate forwarded and replication calls with")
 		tokensFile   = flag.String("tokens-file", "", "bearer-token file enabling tenant auth: \"<token> <tenant> [quota=N] [rate=R] [burst=B]\" per line")
-		replicateIvl = flag.Duration("replicate-interval", 0, "anti-entropy pull cadence between replica stores (0 = 2s default; needs -peers and -store)")
+		replicateIvl = flag.Duration("replicate-interval", 0, "longest an anti-entropy pull waits for a peer's next record, and the backoff after a failed pull (0 = 2s default; needs -peers and -store)")
 		drainGrace   = flag.Duration("drain-grace", 0, "how long shutdown keeps admitting after /readyz drops, so routers stop sending first")
 
 		load        = flag.Bool("load", false, "self-benchmark: hammer an in-process server and print a latency table")

@@ -1,7 +1,7 @@
 // Package cluster is csserved's peer layer: static membership over a
 // -peers list, rendezvous (HRW) hashing from job fingerprints to owner
 // nodes, forwarding clients, id-prefix reverse proxies, and the
-// gossip-free anti-entropy loop that converges the replicas' verdict
+// gossip-free anti-entropy pulls that converge the replicas' verdict
 // stores. It implements service.Router; cmd/csserved wires a Cluster
 // into service.Config, and a single-node server never loads this
 // package's code path (Router stays nil).
@@ -36,7 +36,8 @@ import (
 	"nonmask/internal/store"
 )
 
-// DefaultReplicateInterval is the anti-entropy pull cadence.
+// DefaultReplicateInterval is how long one anti-entropy pull waits for
+// a new record, and the backoff after a failed pull.
 const DefaultReplicateInterval = 2 * time.Second
 
 // forwardTimeout bounds one forwarded submission; forwarded submissions
@@ -56,9 +57,11 @@ type Config struct {
 	// Empty works only when the service runs without tenant auth.
 	ClusterToken string
 	// Store, when set, is pulled from and applied to by the anti-entropy
-	// loop. Nil disables replication (routing and proxying still work).
+	// loops. Nil disables replication (routing and proxying still work).
 	Store *store.Store
-	// ReplicateInterval is the anti-entropy cadence (default 2s).
+	// ReplicateInterval is the longest one anti-entropy pull waits for a
+	// peer's log to grow, and the backoff after a failed pull (default
+	// 2s).
 	ReplicateInterval time.Duration
 	// HTTPClient is the transport for peer calls (default
 	// http.DefaultClient; tests inject httptest clients).
@@ -76,8 +79,8 @@ type peer struct {
 	proxy *httputil.ReverseProxy
 
 	// gen and offset are this node's anti-entropy cursor into the peer's
-	// store log (guarded by the Cluster's replication loop, which is the
-	// only writer).
+	// store log. Only the peer's pull loop (or replicateOnce, on a
+	// Cluster that was never started) touches them.
 	gen    uint64
 	offset int64
 }
@@ -99,16 +102,18 @@ type Cluster struct {
 
 	// Anti-entropy counters (WriteMetrics renders them).
 	replicatedRecords atomic.Int64
-	replicateRounds   atomic.Int64
+	replicatePulls    atomic.Int64
 	replicateErrors   atomic.Int64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// ctx ends every pull loop and parked pull; Close cancels it and
+	// waits on loops.
+	ctx    context.Context
+	cancel context.CancelFunc
+	loops  sync.WaitGroup
 }
 
 // New validates the membership list and builds the peer table. Start
-// launches the anti-entropy loop; a Cluster that is never started still
+// launches the anti-entropy loops; a Cluster that is never started still
 // routes and proxies.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Peers) < 2 {
@@ -144,6 +149,7 @@ func New(cfg Config) (*Cluster, error) {
 	if interval <= 0 {
 		interval = DefaultReplicateInterval
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
 		selfURL:  selfURL,
 		token:    cfg.ClusterToken,
@@ -152,8 +158,8 @@ func New(cfg Config) (*Cluster, error) {
 		hc:       hc,
 		log:      logger,
 		nodes:    make(map[string]*peer, len(urls)),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	for i, u := range urls {
 		name := fmt.Sprintf("n%d", i)
@@ -283,86 +289,138 @@ func (c *Cluster) ProxyHTTP(node string, w http.ResponseWriter, r *http.Request)
 	return true
 }
 
-// Start launches the anti-entropy loop. No-op without a store.
+// Start launches one anti-entropy pull loop per peer. No-op without a
+// store.
 func (c *Cluster) Start() {
 	if c.store == nil {
-		close(c.done)
 		return
 	}
-	go c.replicateLoop()
+	for _, p := range c.nodes {
+		c.loops.Add(1)
+		go c.pullLoop(p)
+	}
 }
 
-// Close stops the anti-entropy loop and waits for it to exit.
+// Close cancels every pull loop, parked pulls included, and waits for
+// the loops to exit.
 func (c *Cluster) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
+	c.cancel()
+	c.loops.Wait()
 }
 
-// replicateLoop pulls every peer's store log on the configured cadence.
-// Pull (not push) keeps the protocol gossip-free and self-healing: a
-// node that was down simply resumes from its cursors, and a peer that
-// compacted or restarted bumps its generation, which resets the cursor
-// to a full re-read — idempotent Apply makes the re-read cheap.
-func (c *Cluster) replicateLoop() {
-	defer close(c.done)
-	t := time.NewTicker(c.interval)
+// pullLoop keeps this node's copy of one peer's log converged. Pull (not
+// push) keeps the protocol gossip-free and self-healing: a node that was
+// down simply resumes from its cursor, and a peer that compacted or
+// restarted bumps its generation, which resets the cursor to a full
+// re-read — idempotent Apply makes the re-read cheap. The loop starts
+// with a catch-up that returns at once; every later pull long-polls, so
+// a record written on the peer lands here as soon as it is appended.
+// Each peer has its own loop, so a dead or hung peer never holds back
+// the live ones.
+func (c *Cluster) pullLoop(p *peer) {
+	defer c.loops.Done()
+	wait := min(c.interval, service.MaxReplicateWait)
+	var pause time.Duration
+	if c.failed(p, c.catchUp(c.ctx, p)) {
+		pause = c.interval
+	}
+	for c.sleep(pause) {
+		start := time.Now()
+		resp, err := c.pullPeer(c.ctx, p, wait)
+		switch {
+		case c.failed(p, err):
+			pause = c.interval
+		case len(resp.Records) == 0 && !resp.More:
+			// Pacing: an empty page that came back before its wait ran
+			// out (a peer that predates ?wait=, or one that is draining)
+			// is followed by the rest of the wait, not by a hot loop.
+			pause = wait - time.Since(start)
+		default:
+			pause = 0
+		}
+	}
+}
+
+// sleep waits d (not at all when d <= 0) and reports whether the loops
+// should go on, false once Close has run.
+func (c *Cluster) sleep(d time.Duration) bool {
+	if d <= 0 {
+		return c.ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
 	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			c.replicateOnce(context.Background())
-		case <-c.stop:
-			return
-		}
+	select {
+	case <-t.C:
+		return true
+	case <-c.ctx.Done():
+		return false
 	}
 }
 
-// replicateOnce runs one anti-entropy round: for each peer, drain its
-// log from the cursor to the tip, applying every record to the local
-// store. Errors count and log but never stop the round — a dead peer
-// must not block convergence with the live ones.
+// failed counts and logs a failed pull; a pull cut short by Close is not
+// a failure.
+func (c *Cluster) failed(p *peer, err error) bool {
+	if err == nil || c.ctx.Err() != nil {
+		return false
+	}
+	c.replicateErrors.Add(1)
+	c.log.Debug("anti-entropy pull failed", "peer", p.name, "error", err)
+	return true
+}
+
+// replicateOnce is the one-shot catch-up of every peer at once: it
+// returns when each peer's log is drained to its tip or its pull failed.
+// It must not run while Start's loops are live (they own the cursors).
 func (c *Cluster) replicateOnce(ctx context.Context) {
-	c.replicateRounds.Add(1)
-	for _, name := range c.names {
-		p, ok := c.nodes[name]
-		if !ok {
-			continue // self
-		}
-		if err := c.pullPeer(ctx, p); err != nil {
-			c.replicateErrors.Add(1)
-			c.log.Debug("anti-entropy pull failed", "peer", p.name, "error", err)
-		}
+	var wg sync.WaitGroup
+	for _, p := range c.nodes {
+		wg.Add(1)
+		go func(p *peer) {
+			defer wg.Done()
+			c.failed(p, c.catchUp(ctx, p))
+		}(p)
 	}
+	wg.Wait()
 }
 
-// pullPeer drains one peer's log from the saved cursor.
-func (c *Cluster) pullPeer(ctx context.Context, p *peer) error {
+// catchUp drains one peer's log from the cursor to its tip, without
+// waiting for new records.
+func (c *Cluster) catchUp(ctx context.Context, p *peer) error {
 	for {
-		ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
-		resp, err := p.cli.Replicate(ctx, service.ReplicateRequest{Gen: p.gen, Offset: p.offset})
-		cancel()
-		if err != nil {
+		resp, err := c.pullPeer(ctx, p, 0)
+		if err != nil || !resp.More {
 			return err
 		}
-		applied := 0
-		for _, rec := range resp.Records {
-			fresh, aerr := c.store.Apply(rec.Key, rec.Value)
-			if aerr != nil {
-				return fmt.Errorf("apply %s: %w", rec.Key, aerr)
-			}
-			if fresh {
-				applied++
-			}
+	}
+}
+
+// pullPeer pulls one page of a peer's log from the saved cursor, waiting
+// up to wait for a record when the cursor is caught up, applies it to
+// the local store, and advances the cursor.
+func (c *Cluster) pullPeer(ctx context.Context, p *peer, wait time.Duration) (service.ReplicateResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, wait+forwardTimeout)
+	resp, err := p.cli.Replicate(ctx, service.ReplicateRequest{Gen: p.gen, Offset: p.offset}, wait)
+	cancel()
+	if err != nil {
+		return resp, err
+	}
+	applied := 0
+	for _, rec := range resp.Records {
+		fresh, aerr := c.store.Apply(rec.Key, rec.Value)
+		if aerr != nil {
+			return resp, fmt.Errorf("apply %s: %w", rec.Key, aerr)
 		}
-		p.gen, p.offset = resp.Gen, resp.Next
-		if applied > 0 {
-			c.replicatedRecords.Add(int64(applied))
-			c.log.Info("replicated records", "peer", p.name, "records", applied)
-		}
-		if !resp.More {
-			return nil
+		if fresh {
+			applied++
 		}
 	}
+	p.gen, p.offset = resp.Gen, resp.Next
+	c.replicatePulls.Add(1)
+	if applied > 0 {
+		c.replicatedRecords.Add(int64(applied))
+		c.log.Info("replicated records", "peer", p.name, "records", applied)
+	}
+	return resp, nil
 }
 
 // WriteMetrics implements service.Router: the peer layer's Prometheus
@@ -370,6 +428,6 @@ func (c *Cluster) pullPeer(ctx context.Context, p *peer) error {
 func (c *Cluster) WriteMetrics(w io.Writer) {
 	obs.WriteScalar(w, "csserved_cluster_peers", "gauge", "Cluster membership size (self included).", int64(len(c.names)))
 	obs.WriteScalar(w, "csserved_replicated_records_total", "counter", "Store records applied from peers by anti-entropy pulls.", c.replicatedRecords.Load())
-	obs.WriteScalar(w, "csserved_replicate_rounds_total", "counter", "Completed anti-entropy rounds.", c.replicateRounds.Load())
+	obs.WriteScalar(w, "csserved_replicate_rounds_total", "counter", "Completed anti-entropy pulls (pages answered by peers).", c.replicatePulls.Load())
 	obs.WriteScalar(w, "csserved_replicate_errors_total", "counter", "Failed anti-entropy pulls (dead or lagging peers).", c.replicateErrors.Load())
 }

@@ -67,6 +67,7 @@ func runE7() (*metrics.Table, error) {
 			verdict(res.Converges),
 			fmt.Sprintf("%d", res.WorstSteps),
 			fmt.Sprintf("%.2f", res.MeanSteps))
+		rep.Close()
 	}
 	// Large rings: simulated convergence from random states.
 	for _, n := range []int{31, 127, 511} {
@@ -112,6 +113,7 @@ func runE8() (*metrics.Table, error) {
 				return nil, err
 			}
 			res := rep.Unfair
+			rep.Close()
 			cell := "conv"
 			if !res.Converges {
 				cell = "livelock"

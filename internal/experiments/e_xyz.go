@@ -138,6 +138,7 @@ func runE6() (*metrics.Table, error) {
 		}
 		unfair := rep.Unfair.Converges
 		fair := unfair || rep.Fair.Converges
+		rep.Close()
 		t.AddRow(r.name, verdict(cg.IsSelfLooping()), verdict(hasOrder),
 			verdict(unfair), verdict(fair))
 	}

@@ -57,12 +57,14 @@ func runX1() (*metrics.Table, error) {
 		fair := rep.Fair
 		if fair == nil {
 			if fair, err = rep.Space.CheckFairConvergenceContext(ctx); err != nil {
+				rep.Close()
 				return nil, err
 			}
 		}
 		t.AddRow(tc.name, "weakly fair daemon", verdict(fair.Converges), "-")
 
 		stair, err := rep.Space.CheckStairContext(ctx, []*program.Predicate{inst.TreeOK}, true)
+		rep.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -74,6 +76,7 @@ func runX1() (*metrics.Table, error) {
 			return nil, err
 		}
 		stage2 := fixedRep.Unfair
+		fixedRep.Close()
 		t.AddRow(tc.name, "stage 2 alone, arbitrary daemon", verdict(stage2.Converges),
 			fmt.Sprintf("worst %d steps", stage2.WorstSteps))
 	}

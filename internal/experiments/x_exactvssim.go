@@ -66,6 +66,7 @@ func runX5() (*metrics.Table, error) {
 			}
 			res := r.Run(st, rng)
 			if !res.Converged {
+				rep.Close()
 				return nil, fmt.Errorf("%s: sampled run did not converge", inst.Name)
 			}
 			total += res.Steps
@@ -80,6 +81,7 @@ func runX5() (*metrics.Table, error) {
 		// table from its argmax state reproduces the adversarial schedule.
 		worst, ok := rep.Space.WorstDistances()
 		if !ok {
+			rep.Close()
 			return nil, fmt.Errorf("%s: no worst-distance table on a convergent instance", inst.Name)
 		}
 		argmax := int64(0)
@@ -94,6 +96,7 @@ func runX5() (*metrics.Table, error) {
 			MaxSteps: 100_000, StopAtS: true,
 		}
 		res := wr.Run(rep.Space.State(argmax), rng)
+		rep.Close()
 		t.AddRow(inst.Name, "worst-case steps",
 			fmt.Sprintf("%d", m.WorstSteps), fmt.Sprintf("%d", res.Steps), "1")
 	}

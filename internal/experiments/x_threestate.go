@@ -40,6 +40,7 @@ func runX3() (*metrics.Table, error) {
 		t.AddRow("K-state ring", fmt.Sprintf("%d", n+1), fmt.Sprintf("%d", n+1),
 			fmt.Sprintf("%d", rep.Space.Count), verdict(res.Converges),
 			fmt.Sprintf("%d", res.WorstSteps), fmt.Sprintf("%.2f", res.MeanSteps))
+		rep.Close()
 	}
 	for n := 2; n <= 8; n++ {
 		arr, err := fourstate.New(n)
@@ -54,6 +55,7 @@ func runX3() (*metrics.Table, error) {
 		t.AddRow("four-state", fmt.Sprintf("%d", n+1), "4 (2 at ends)",
 			fmt.Sprintf("%d", rep.Space.Count), verdict(res.Converges),
 			fmt.Sprintf("%d", res.WorstSteps), fmt.Sprintf("%.2f", res.MeanSteps))
+		rep.Close()
 	}
 	for n := 2; n <= 8; n++ {
 		arr, err := threestate.New(n)
@@ -68,6 +70,7 @@ func runX3() (*metrics.Table, error) {
 		t.AddRow("three-state", fmt.Sprintf("%d", n+1), "3",
 			fmt.Sprintf("%d", rep.Space.Count), verdict(res.Converges),
 			fmt.Sprintf("%d", res.WorstSteps), fmt.Sprintf("%.2f", res.MeanSteps))
+		rep.Close()
 	}
 	t.Note("all three algorithms are from the paper's citation [9]; the bidirectional")
 	t.Note("forms trade token travel up and down the line for constant per-machine state")

@@ -335,10 +335,15 @@ func (c *Client) Readyz(ctx context.Context) error {
 }
 
 // Replicate pulls one page of the server's store log from the given
-// cursor (anti-entropy; see service.ReplicateRequest).
-func (c *Client) Replicate(ctx context.Context, req service.ReplicateRequest) (service.ReplicateResponse, error) {
+// cursor (anti-entropy; see service.ReplicateRequest). wait > 0
+// long-polls: a caught-up cursor waits up to that long for a record.
+func (c *Client) Replicate(ctx context.Context, req service.ReplicateRequest, wait time.Duration) (service.ReplicateResponse, error) {
+	path := "/v1/replicate"
+	if wait > 0 {
+		path += "?wait=" + url.QueryEscape(wait.String())
+	}
 	var resp service.ReplicateResponse
-	err := c.do(ctx, http.MethodPost, "/v1/replicate", req, &resp)
+	err := c.do(ctx, http.MethodPost, path, req, &resp)
 	return resp, err
 }
 

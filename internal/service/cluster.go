@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // This file is the service's cluster surface: the Router the peer layer
@@ -180,7 +181,11 @@ func (s *Server) proxyByID(w http.ResponseWriter, r *http.Request, id string) bo
 
 // handleReplicate serves POST /v1/replicate: one page of the local
 // store's log from the caller's cursor. Peer-only when a cluster token
-// is configured.
+// is configured. With ?wait=, a caught-up cursor long-polls: the
+// request parks on the store's tip until a record lands (and answers
+// with it), the wait (capped at MaxReplicateWait) elapses, the caller
+// goes away, or the server finishes draining — then it answers the
+// empty page.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if ct := s.cfg.ClusterToken; ct != "" && bearerToken(r) != ct {
 		s.metrics.AuthFailures.Add(1)
@@ -191,6 +196,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no persistent store configured (-store); nothing to replicate")
 		return
 	}
+	var wait time.Duration
+	if ws := r.URL.Query().Get("wait"); ws != "" {
+		d, err := time.ParseDuration(ws)
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, "bad wait %q (want a duration like 2s)", ws)
+			return
+		}
+		wait = min(d, MaxReplicateWait)
+	}
 	var req ReplicateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -198,7 +212,19 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode replicate request: %v", err)
 		return
 	}
-	recs, gen, next, more, err := s.cfg.Store.Since(req.Gen, req.Offset, req.MaxBytes)
+	st := s.cfg.Store
+	recs, gen, next, more, err := st.Since(req.Gen, req.Offset, req.MaxBytes)
+	if err == nil && len(recs) == 0 && !more && wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-st.Changed(gen, next):
+			recs, gen, next, more, err = st.Since(gen, next, req.MaxBytes)
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.baseCtx.Done():
+		}
+		t.Stop()
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "read log: %v", err)
 		return

@@ -63,7 +63,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 //	GET    /v1/events        SSE firehose across every source; ?types=a,b filters
 //	GET    /v1/protocols     built-in protocol catalog with advertised bounds
 //	GET    /v1/version       build identity (module, version, go toolchain)
-//	POST   /v1/replicate     anti-entropy pull: one page of the store log (peers)
+//	POST   /v1/replicate     anti-entropy pull: one page of the store log (peers); ?wait=2s long-polls
 //	GET    /healthz          liveness (always "ok" while the process serves)
 //	GET    /readyz           readiness ("ok", or 503 once draining begins)
 //	GET    /metrics          Prometheus text exposition

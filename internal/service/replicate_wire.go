@@ -1,13 +1,21 @@
 package service
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"time"
+)
 
 // Wire types for POST /v1/replicate, the anti-entropy pull endpoint. A
 // peer presents its cursor for this node's store log and receives the
 // next page of records plus the advanced cursor; it keeps pulling while
-// More is set, then sleeps until the next round. The cursor contract
-// (generation bumps invalidating byte offsets) is store.Since's; this
-// layer only ferries it over HTTP.
+// More is set. A caught-up peer long-polls: the ?wait= query parameter
+// (not a body field, so servers that predate it ignore it rather than
+// refuse the request) parks the pull until the log grows. The cursor
+// contract (generation bumps invalidating byte offsets) is store.Since's;
+// this layer only ferries it over HTTP.
+
+// MaxReplicateWait caps the ?wait= of one replicate pull.
+const MaxReplicateWait = time.Minute
 
 // ReplicateRequest is the puller's cursor into the serving node's log.
 type ReplicateRequest struct {

@@ -110,6 +110,41 @@ func (s *Store) Since(gen uint64, offset int64, maxBytes int) (recs []Record, ne
 	return recs, s.gen, nextOffset, nextOffset < s.size, nil
 }
 
+// closedTip is the already-closed channel Changed returns for a cursor
+// the log has moved past.
+var closedTip = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Changed returns a channel that is closed once the log moves past the
+// (gen, offset) cursor: a record is appended beyond offset, a compaction
+// bumps the generation, or the store closes. A cursor that is already
+// stale (another generation, an offset short of the tip) or a closed
+// store gets a closed channel, so a caller that read an empty Since page
+// and then waits here cannot miss an append that landed in between. The
+// channel is allocated only while someone waits; Put closes and drops it.
+func (s *Store) Changed(gen uint64, offset int64) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done || gen != s.gen || offset != s.size {
+		return closedTip
+	}
+	if s.tip == nil {
+		s.tip = make(chan struct{})
+	}
+	return s.tip
+}
+
+// wakeLocked releases every Changed waiter (s.mu held).
+func (s *Store) wakeLocked() {
+	if s.tip != nil {
+		close(s.tip)
+		s.tip = nil
+	}
+}
+
 // Apply stores a replicated record unless an identical value is already
 // held under the key, reporting whether anything was appended. The skip
 // is what keeps mutual anti-entropy loops quiescent: a record pulled

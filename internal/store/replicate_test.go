@@ -227,3 +227,86 @@ func TestSinceSkipsCorruptRecords(t *testing.T) {
 		t.Fatalf("replication served corrupt record: got %v", keys)
 	}
 }
+
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestChangedWakesOnAppendCompactAndClose pins the tip notification a
+// long-polled replicate pull parks on: the channel for a caught-up
+// cursor stays open until an append (Put or Apply), a compaction, or
+// Close, and a cursor the log already moved past gets a closed one.
+func TestChangedWakesOnAppendCompactAndClose(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	if err := s.Put("k0", []byte(`{"v":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	if s.tip != nil {
+		t.Fatal("Put allocated a tip channel with nobody waiting")
+	}
+	_, gen, off := drain(t, s, 0, 0, 0)
+
+	ch := s.Changed(gen, off)
+	if isClosed(ch) {
+		t.Fatal("caught-up cursor: channel already closed")
+	}
+	if again := s.Changed(gen, off); again != ch {
+		t.Fatal("two waiters on the same tip got different channels")
+	}
+	if err := s.Put("k1", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(ch) {
+		t.Fatal("Put did not wake the waiter")
+	}
+	if !isClosed(s.Changed(gen, off)) {
+		t.Fatal("a cursor behind the tip got an open channel")
+	}
+
+	_, gen, off = drain(t, s, gen, off, 0)
+	ch = s.Changed(gen, off)
+	if _, err := s.Apply("k1", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if isClosed(ch) {
+		t.Fatal("an Apply that appended nothing woke the waiter")
+	}
+	if _, err := s.Apply("k2", []byte(`{"v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(ch) {
+		t.Fatal("Apply did not wake the waiter")
+	}
+
+	_, gen, off = drain(t, s, gen, off, 0)
+	ch = s.Changed(gen, off)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(ch) {
+		t.Fatal("Compact did not wake the waiter")
+	}
+	// The old cursor is stale now; resuming from it re-reads the new
+	// generation from the top and loses nothing.
+	recs, gen, off := drain(t, s, gen, off, 0)
+	if len(recs) != 3 || gen != s.Generation() {
+		t.Fatalf("after compaction: %d records at gen %d, want 3 at gen %d", len(recs), gen, s.Generation())
+	}
+
+	ch = s.Changed(gen, off)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(ch) {
+		t.Fatal("Close did not wake the waiter")
+	}
+	if !isClosed(s.Changed(gen, off)) {
+		t.Fatal("a closed store handed out an open channel")
+	}
+}

@@ -137,6 +137,10 @@ type Store struct {
 	// process-unique at Open and bumps on every compaction, which rewrites
 	// the log and invalidates byte offsets (see Since in replicate.go).
 	gen uint64
+	// tip is closed when the log moves: an append, a compaction or Close
+	// (see Changed in replicate.go). Nil while nobody waits, so a store
+	// that no peer long-polls allocates nothing per Put.
+	tip chan struct{}
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -357,6 +361,7 @@ func (s *Store) Put(key string, value []byte) error {
 	s.live += recSize
 	s.stats.Appends++
 	s.dirty = true
+	s.wakeLocked()
 	if s.opts.SyncInterval < 0 {
 		if err := s.syncLocked(); err != nil {
 			return fmt.Errorf("store: sync: %w", err)
@@ -457,6 +462,7 @@ func (s *Store) compactLocked() error {
 	reclaimed := s.size - newSize
 	s.f = f
 	s.gen = newGeneration() // byte offsets changed; invalidate replication cursors
+	s.wakeLocked()
 	s.size = newSize
 	s.live = newSize
 	s.index = newIndex
@@ -499,6 +505,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.done = true
+	s.wakeLocked()
 	var err error
 	if s.dirty {
 		err = s.syncLocked()
