@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -535,4 +537,77 @@ func TestWriteMetricsRendersCounters(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestMirroredRecordsHoldNoProgram runs TestBatchFansAcrossReplicas's
+// sweep and checks that the entry node's member records, mirrors of runs
+// on their owners among them, hold no compiled program once the batch has
+// ended. The witness is a finalizer on the sweep's Analyses array: every
+// member's compiled program keeps its spec, whose Analyses shares that
+// array, so the array is collected only once no member's program is
+// reachable. Every record must still serve the same bytes afterwards.
+func TestMirroredRecordsHoldNoProgram(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	entry := nodes[0].srv
+	var collected atomic.Bool
+	id := submitTrackedSweep(t, entry, &collected)
+	bst, ok := entry.WaitBatch(context.Background(), id, 30*time.Second)
+	if !ok || bst.State != service.BatchDone || bst.Counts.Done != 8 || len(bst.Curve) != 8 {
+		t.Fatalf("batch ended %s: %+v, %d curve points", bst.State, bst.Counts, len(bst.Curve))
+	}
+	if entry.Metrics().Forwarded.Load() == 0 {
+		t.Fatal("entry node mirrored no member")
+	}
+	paths := []string{"/v1/batches/" + id}
+	for _, m := range bst.Jobs {
+		paths = append(paths, "/v1/jobs/"+m.ID)
+	}
+	before := make([][]byte, len(paths))
+	for i, p := range paths {
+		before[i] = getBody(t, entry, p)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !collected.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("a member's compiled program is still reachable after the batch ended")
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i, p := range paths {
+		if after := getBody(t, entry, p); !bytes.Equal(after, before[i]) {
+			t.Errorf("%s changed once its program was collected:\nbefore %s\nafter  %s", p, before[i], after)
+		}
+	}
+}
+
+// submitTrackedSweep submits a metrics sweep of k = 5..12 over a 3-node
+// ring in-process, so every member's spec shares the one Analyses array
+// it puts a finalizer on, and keeps no reference to that array itself.
+func submitTrackedSweep(t *testing.T, srv *service.Server, collected *atomic.Bool) string {
+	t.Helper()
+	analyses := new([1]string)
+	analyses[0] = service.AnalysisMetrics
+	runtime.SetFinalizer(analyses, func(*[1]string) { collected.Store(true) })
+	st, err := srv.SubmitBatch(service.BatchSpec{Sweep: &service.SweepSpec{
+		Protocol: "tokenring-ring",
+		Params:   registry.Params{N: 3},
+		Ranges:   map[string]service.RangeSpec{"k": {From: 5, To: 12}},
+		Options:  service.JobOptions{Analyses: analyses[:]},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.ID
+}
+
+// getBody serves one GET through srv's handler and returns the body.
+func getBody(t *testing.T, srv *service.Server, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
 }

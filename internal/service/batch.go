@@ -185,11 +185,13 @@ type BatchStatus struct {
 
 // batch is the server-side record of one batch submission. Its event
 // stream carries batch_member completions, aggregate progress, and the
-// terminal batch event.
+// terminal batch event. It keeps its member count, not its compiled
+// members: those live in the runner's arguments until admitted.
 type batch struct {
 	record
 	concurrency int
-	specs       []*Compiled
+	// total is the expanded member count.
+	total int
 
 	// Guarded by record.mu.
 	state    BatchState
@@ -216,8 +218,8 @@ func (b *batch) status() BatchStatus {
 		FinishedAt:  b.finished,
 		Jobs:        make([]BatchJobRef, 0, len(b.jobs)),
 	}
-	st.Counts.Total = len(b.specs)
-	st.Counts.Pending = len(b.specs) - len(b.jobs)
+	st.Counts.Total = b.total
+	st.Counts.Pending = b.total - len(b.jobs)
 	for _, j := range b.jobs {
 		js := j.status()
 		ref := BatchJobRef{ID: js.ID, State: js.State, Program: js.Program,
@@ -261,9 +263,9 @@ func curvePoint(j *job, js JobStatus) (CurvePoint, bool) {
 	m := js.Result.Metrics
 	return CurvePoint{
 		Program:          js.Program,
-		N:                j.c.params.N,
-		K:                j.c.params.K,
-		Seed:             j.c.params.Seed,
+		N:                j.n,
+		K:                j.k,
+		Seed:             j.seed,
 		MaxDistance:      m.MaxDistance,
 		WorstMeasured:    m.WorstMeasured,
 		WorstSteps:       m.WorstSteps,
@@ -279,12 +281,12 @@ func curvePoint(j *job, js JobStatus) (CurvePoint, bool) {
 func (s *Server) finishBatch(b *batch) {
 	b.mu.Lock()
 	state := BatchDone
-	if b.canceled || len(b.jobs) < len(b.specs) {
+	if b.canceled || len(b.jobs) < b.total {
 		state = BatchCanceled
 	}
 	b.state, b.finished = state, time.Now()
 	ev := obs.Event{Type: obs.EventBatch, State: string(state),
-		Done: int64(b.terminalMembers), Total: int64(len(b.specs))}
+		Done: int64(b.terminalMembers), Total: int64(b.total)}
 	b.mu.Unlock()
 	s.metrics.BatchesInFlight.Add(-1)
 	if state == BatchDone {
@@ -433,7 +435,7 @@ func (s *Server) SubmitBatchAs(spec BatchSpec, tenant string) (BatchStatus, erro
 		return BatchStatus{}, s.reject(http.StatusServiceUnavailable, tenant, "server is draining")
 	}
 	s.batchSeq++
-	b := &batch{concurrency: conc, specs: specs, state: BatchRunning, cancelCh: make(chan struct{})}
+	b := &batch{concurrency: conc, total: len(specs), state: BatchRunning, cancelCh: make(chan struct{})}
 	b.id, b.submitted, b.done = s.prefixID(fmt.Sprintf("b-%08d", s.batchSeq)), now, make(chan struct{})
 	s.addLocked(b, obs.Event{Type: obs.EventBatch, State: string(BatchRunning), Total: int64(len(specs))})
 	s.batchWG.Add(1)
@@ -441,16 +443,16 @@ func (s *Server) SubmitBatchAs(spec BatchSpec, tenant string) (BatchStatus, erro
 	s.metrics.BatchesSubmitted.Add(1)
 	s.metrics.BatchesInFlight.Add(1)
 	s.log.Info("batch queued", "batch", b.id, "jobs", len(specs), "concurrency", conc)
-	go s.runBatch(b)
+	go s.runBatch(b, specs)
 	return b.status(), nil
 }
 
-// runBatch fans a batch's members out through the shared queue. The
-// concurrency window (sem) holds one slot per member from admission to
+// runBatch fans a batch's compiled members out through the shared queue.
+// The concurrency window (sem) holds one slot per member from admission to
 // terminal state; 429 pushback retries with a backoff, a drain or cancel
 // stops admission, and the runner finishes the batch once every admitted
 // member is terminal.
-func (s *Server) runBatch(b *batch) {
+func (s *Server) runBatch(b *batch, specs []*Compiled) {
 	defer s.batchWG.Done()
 	sem := make(chan struct{}, b.concurrency)
 	// memberWG tracks the per-member watcher goroutines, which publish
@@ -459,14 +461,16 @@ func (s *Server) runBatch(b *batch) {
 	// strictly the stream's last.
 	var memberWG sync.WaitGroup
 admission:
-	for _, c := range b.specs {
+	for i, c := range specs {
 		select {
 		case sem <- struct{}{}:
 		case <-b.cancelCh:
 			break admission
 		}
-		// Pushback (429) waits its turn instead of failing the batch.
+		// Pushback (429) waits its turn instead of failing the batch. Once
+		// admitted, the member's work holds its program, not the runner.
 		j, err := s.admitPatiently(c, s.route(c), b.cancelCh)
+		specs[i] = nil
 		if err != nil {
 			// Draining (503), a cancel, or an unexpected admission failure:
 			// stop admitting; the batch ends canceled with the members it has.
@@ -513,7 +517,7 @@ func (b *batch) publishMember(j *job) {
 	b.mu.Unlock()
 	b.events.Publish(ev)
 	b.events.Publish(obs.Event{Type: obs.EventProgress,
-		Done: int64(done), Total: int64(len(b.specs))})
+		Done: int64(done), Total: int64(b.total)})
 }
 
 // Batch returns a batch's status by id.

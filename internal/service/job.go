@@ -173,10 +173,11 @@ type Compiled struct {
 	// constraints are the invariant conjuncts the metrics analyses break
 	// recovery costs down by (empty without a layered design or stair).
 	constraints []verify.ConstraintSpec
-	// prose is what only the CLIs' prose reports read. It is one pointer,
-	// which compileAdmitted clears, so the job records csserved retains
-	// carry 8 bytes for it, not the design.
-	prose *prose
+	// design is the layered candidate triple the theorems validate (nil
+	// for plain programs) and stair the declared convergence stair; only
+	// the CLIs' prose reports read them.
+	design *core.Design
+	stair  []*program.Predicate
 	// protocol and params identify a catalog job for batch curve
 	// aggregation (empty/zero for GCL source jobs).
 	protocol string
@@ -191,14 +192,6 @@ type Compiled struct {
 	priority bool
 	// tenant is the principal the job is accounted to ("" untenanted).
 	tenant string
-}
-
-// prose holds the parts of a compiled job only the CLIs' prose reports
-// read: the layered candidate triple the theorems validate (nil for plain
-// programs) and the declared convergence stair.
-type prose struct {
-	design *core.Design
-	stair  []*program.Predicate
 }
 
 // Name is the compiled program's name.
@@ -219,10 +212,10 @@ func (c *Compiled) Options() verify.Options { return c.opts }
 func (c *Compiled) Constraints() []verify.ConstraintSpec { return c.constraints }
 
 // Design is the layered candidate triple, nil for plain programs.
-func (c *Compiled) Design() *core.Design { return c.prose.design }
+func (c *Compiled) Design() *core.Design { return c.design }
 
 // Stair is the declared convergence stair, outermost first.
-func (c *Compiled) Stair() []*program.Predicate { return c.prose.stair }
+func (c *Compiled) Stair() []*program.Predicate { return c.stair }
 
 // WithoutSymmetry returns a copy that checks the concrete space, for
 // reports that evaluate node-indexed predicates a symmetry group permutes.
@@ -293,15 +286,15 @@ func compileAdmitted(spec JobSpec, cfg Config) (*Compiled, error) {
 		}
 	}
 	c, err := Compile(spec, cfg)
-	if err != nil {
-		return nil, err
+	if err == nil && testHookCompiled != nil {
+		testHookCompiled(c)
 	}
-	// Job records outlive their checks by RecordTTL, and no service path
-	// reads the prose parts; a GCL design alone holds its own S and
-	// constraint set, about 400 B a record on service-mix.
-	c.prose = nil
-	return c, nil
+	return c, err
 }
+
+// testHookCompiled, when non-nil, observes every program admission
+// compiles; white-box tests use it to watch how long the programs live.
+var testHookCompiled func(*Compiled)
 
 // Compile validates and compiles a submission into a runnable job: the
 // options, the triple, the saboteur request, the symmetry policy and the
@@ -348,7 +341,7 @@ func Compile(spec JobSpec, cfg Config) (*Compiled, error) {
 			}
 		}
 		c.name, c.prog, c.s, c.t = m.Name, m.Program, m.S, m.T
-		c.prose = &prose{design: m.Design}
+		c.design = m.Design
 		c.constraints = specsFromSet(m.Set)
 		// Content-address the canonical pretty-printed form, so
 		// formatting- or comment-only variations share a cache entry.
@@ -372,7 +365,7 @@ func Compile(spec JobSpec, cfg Config) (*Compiled, error) {
 			return nil, err
 		}
 		c.name, c.prog, c.s, c.t = inst.Name, inst.Program, inst.S, inst.T
-		c.prose = &prose{design: inst.Design, stair: inst.Stair}
+		c.design, c.stair = inst.Design, inst.Stair
 		c.constraints = registry.ConstraintSpecs(inst)
 		c.protocol, c.params = spec.Protocol, params
 		c.key = fingerprintProtocol(spec.Protocol, params, opts, c.saboteur)
@@ -502,11 +495,19 @@ type outcome struct {
 	cached bool
 }
 
-// job is the server-side record of one submission.
+// job is the server-side record of one submission. It never holds the
+// submission's *Compiled: the program travels with the work that needs it
+// (the queue entry and its executor, a mirror goroutine, a batch runner),
+// so a record costs its header and its outcome, not its program.
 type job struct {
 	record
-	c    *Compiled
-	kind jobKind
+	// The header, fixed when the record is created: the content key, the
+	// program name, the tenant and the catalog parameters the batch curve
+	// reads (zero for GCL source jobs).
+	key, name, tenant string
+	n, k              int
+	seed              int64
+	kind              jobKind
 	// node is the server's cluster node name.
 	node string
 	// quota is the tenant slot an executed record holds until finish
@@ -528,10 +529,10 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Key:         j.c.key,
-		Program:     j.c.name,
+		Key:         j.key,
+		Program:     j.name,
 		Node:        j.node,
-		Tenant:      j.c.tenant,
+		Tenant:      j.tenant,
 		Cached:      j.cached,
 		Coalesced:   j.kind == kindCoalesced,
 		SubmittedAt: j.submitted,

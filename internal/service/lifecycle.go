@@ -124,7 +124,7 @@ func (s *Server) admit(c *Compiled, owner string) (*job, error) {
 		s.mu.Unlock()
 		s.metrics.Submitted.Add(1)
 		s.log.Info("batch member forwarded", "job", j.id, "owner", owner, "key", c.key)
-		go s.mirror(ctx, j, nil, owner)
+		go s.mirror(ctx, j, c, nil, owner)
 		return j, nil
 	}
 	if hit, fromStore := s.cache.get(c.key); hit != nil {
@@ -146,7 +146,7 @@ func (s *Server) admit(c *Compiled, owner string) (*job, error) {
 		s.mu.Unlock()
 		s.metrics.Submitted.Add(1)
 		s.metrics.Coalesced.Add(1)
-		go s.mirror(s.baseCtx, j, leader, "")
+		go s.mirror(s.baseCtx, j, nil, leader, "")
 		s.log.Info("job coalesced", "job", j.id, "leader", leader.id,
 			"program", c.name, "key", c.key)
 		return j, nil
@@ -175,7 +175,7 @@ func (s *Server) admit(c *Compiled, owner string) (*job, error) {
 	j := s.newJobLocked(c, kindExecuted, now)
 	j.quota = tn
 	s.inflight[c.key] = j
-	q <- j
+	q <- queued{j, c}
 	s.mu.Unlock()
 	s.metrics.Submitted.Add(1)
 	s.metrics.CacheMisses.Add(1)
@@ -204,13 +204,14 @@ func (s *Server) admitPatiently(c *Compiled, owner string, stop <-chan struct{})
 	}
 }
 
-// newJobLocked creates c's job record of the given kind: the next id,
-// this node's name, the event stream opened with "queued", and the table
-// row (s.mu held, so nothing sees the record before the caller is done
-// with it).
+// newJobLocked creates c's job record of the given kind: the header
+// copied from c, the next id, this node's name, the event stream opened
+// with "queued", and the table row (s.mu held, so nothing sees the record
+// before the caller is done with it).
 func (s *Server) newJobLocked(c *Compiled, kind jobKind, now time.Time) *job {
 	s.seq++
-	j := &job{c: c, kind: kind, node: s.cfg.NodeName}
+	j := &job{key: c.key, name: c.name, tenant: c.tenant,
+		n: c.params.N, k: c.params.K, seed: c.params.Seed, kind: kind, node: s.cfg.NodeName}
 	j.id = s.prefixID(fmt.Sprintf("j-%08d", s.seq))
 	j.done = make(chan struct{})
 	j.submitted = now
@@ -230,14 +231,14 @@ func (s *Server) addLocked(e entry, open obs.Event) {
 
 // mirror finishes the mirror record j with its source's outcome once the
 // source is terminal. The source is src, a local job, or when src is nil
-// a run of j's spec on node under ctx. A remote run that fails in
-// transport falls back to admitting the job here, and j mirrors that
-// job; a canceled j or a draining server does not fall back. Canceling j
-// on its own ends the wait, not the source.
-func (s *Server) mirror(ctx context.Context, j, src *job, node string) {
+// a run of c's spec on node under ctx. A remote run that fails in
+// transport falls back to admitting c here, and j mirrors that job; a
+// canceled j or a draining server does not fall back. Canceling j on its
+// own ends the wait, not the source.
+func (s *Server) mirror(ctx context.Context, j *job, c *Compiled, src *job, node string) {
 	defer s.mirrors.Done()
 	if src == nil {
-		st, err := s.cfg.Router.RunRemote(ctx, node, j.c.tenant, j.c.spec)
+		st, err := s.cfg.Router.RunRemote(ctx, node, c.tenant, c.spec)
 		switch {
 		case err == nil:
 			s.metrics.Forwarded.Add(1)
@@ -246,11 +247,11 @@ func (s *Server) mirror(ctx context.Context, j, src *job, node string) {
 		case ctx.Err() != nil:
 			s.finish(j, StateQueued, outcome{state: StateCanceled, err: fmt.Errorf("canceled: %w", err)})
 			return
-		case !s.fallBack(err, node, j.c):
+		case !s.fallBack(err, node, c):
 			s.finish(j, StateQueued, outcome{state: StateFailed, err: fmt.Errorf("remote run on %s: %w", node, err)})
 			return
 		}
-		if src, err = s.admitPatiently(j.c, "", ctx.Done()); err != nil {
+		if src, err = s.admitPatiently(c, "", ctx.Done()); err != nil {
 			s.finish(j, StateQueued, outcome{state: StateFailed, err: err})
 			return
 		}
@@ -312,8 +313,8 @@ func (s *Server) finish(j *job, from JobState, o outcome) bool {
 		}
 		j.quota.release()
 		s.mu.Lock()
-		if s.inflight[j.c.key] == j {
-			delete(s.inflight, j.c.key)
+		if s.inflight[j.key] == j {
+			delete(s.inflight, j.key)
 		}
 		s.mu.Unlock()
 	}

@@ -183,8 +183,8 @@ type Server struct {
 	// queue and queueHigh are the two-level admission queues: executors
 	// drain queueHigh first (biased select), so high-priority jobs
 	// preempt queue order — never running work.
-	queue     chan *job
-	queueHigh chan *job
+	queue     chan queued
+	queueHigh chan queued
 	// table holds every job and batch record (record.go).
 	table    table
 	seq      uint64
@@ -212,8 +212,8 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 		baseCtx:   ctx,
 		stop:      cancel,
-		queue:     make(chan *job, cfg.QueueSize),
-		queueHigh: make(chan *job, cfg.QueueSize),
+		queue:     make(chan queued, cfg.QueueSize),
+		queueHigh: make(chan queued, cfg.QueueSize),
 		inflight:  make(map[string]*job),
 		bus:       obs.NewBus(cfg.EventHistory),
 		metrics:   Metrics{queueWait: obs.NewHistogram(queueWaitBuckets)},
@@ -385,16 +385,23 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 	return byID(context.Background(), s, id, 0, s.cancelJob, (*job).status)
 }
 
+// queued is one queue entry: an executed job's record and the compiled
+// program its executor runs.
+type queued struct {
+	j *job
+	c *Compiled
+}
+
 // executor pulls jobs off the queues and runs them through Compiled.Run.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.nextJob()
+		e, ok := s.nextJob()
 		if !ok {
 			return
 		}
 		s.metrics.QueueDepth.Add(-1)
-		s.runJob(j)
+		s.runJob(e.j, e.c)
 	}
 }
 
@@ -404,17 +411,17 @@ func (s *Server) executor() {
 // never running work, is what priority preempts. Returns false once a
 // queue is closed: Shutdown closes them only while it cancels every job
 // still queued, so nothing is left for an executor to run.
-func (s *Server) nextJob() (*job, bool) {
+func (s *Server) nextJob() (queued, bool) {
 	select {
-	case j, ok := <-s.queueHigh:
-		return j, ok
+	case e, ok := <-s.queueHigh:
+		return e, ok
 	default:
 	}
 	select {
-	case j, ok := <-s.queueHigh:
-		return j, ok
-	case j, ok := <-s.queue:
-		return j, ok
+	case e, ok := <-s.queueHigh:
+		return e, ok
+	case e, ok := <-s.queue:
+		return e, ok
 	}
 }
 
@@ -423,10 +430,10 @@ func (s *Server) nextJob() (*job, bool) {
 // job deterministically in flight.
 var testHookJobRunning func(id string)
 
-// runJob executes one job. The check context is the server's base context
-// (so Shutdown's hard-stop cancels in-flight checks) plus the job's
-// deadline; verify.Check applies Options.Deadline itself.
-func (s *Server) runJob(j *job) {
+// runJob executes job j's program c. The check context is the server's
+// base context (so Shutdown's hard-stop cancels in-flight checks) plus the
+// job's deadline; verify.Check applies Options.Deadline itself.
+func (s *Server) runJob(j *job, c *Compiled) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !j.markRunning(cancel) {
@@ -439,7 +446,7 @@ func (s *Server) runJob(j *job) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 
-	jlog := s.log.With("job", j.id, "program", j.c.name)
+	jlog := s.log.With("job", j.id, "program", j.name)
 	jlog.Info("job running")
 	start := time.Now()
 	// Sample the job's progress counter into "progress" events at the
@@ -463,7 +470,7 @@ func (s *Server) runJob(j *job) {
 	// included) into pass_start/pass_end events for live subscribers; the
 	// report collects the same spans. Incumbent improvements stream as
 	// saboteur events.
-	rep, sabRes, err := j.c.Run(ctx, j.events, prog, func(cost, faults int, expanded int64) {
+	rep, sabRes, err := c.Run(ctx, j.events, prog, func(cost, faults int, expanded int64) {
 		j.events.Publish(obs.Event{Type: obs.EventSaboteur,
 			Cost: int64(cost), Faults: faults, Done: expanded})
 	})
@@ -493,7 +500,7 @@ func (s *Server) runJob(j *job) {
 		jlog.Warn("job "+string(state), "error", err, "elapsed_ms", now.Sub(start).Seconds()*1000)
 		return
 	}
-	res := j.c.Result(rep, sabRes)
+	res := c.Result(rep, sabRes)
 	if sabRes != nil {
 		s.metrics.SaboteurJobs.Add(1)
 		s.metrics.SaboteurExpanded.Add(sabRes.Expanded)
@@ -503,7 +510,7 @@ func (s *Server) runJob(j *job) {
 			s.metrics.SaboteurBudgetExhausted.Add(1)
 		}
 	}
-	if perr := s.cache.put(j.c.key, res); perr != nil {
+	if perr := s.cache.put(c.key, res); perr != nil {
 		// A failed persistent write degrades durability, not correctness:
 		// the verdict still lands in the memory tier and the job record.
 		s.metrics.StoreErrors.Add(1)
@@ -560,13 +567,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// outside s.mu: draining is set, so no new submission can race the
 	// close, and the queued-cancel transitions must be free to take s.mu
 	// when they release their coalescing entries.
-	for _, q := range []chan *job{s.queueHigh, s.queue} {
+	for _, q := range []chan queued{s.queueHigh, s.queue} {
 	loop:
 		for {
 			select {
-			case j := <-q:
+			case e := <-q:
 				s.metrics.QueueDepth.Add(-1)
-				s.cancelJob(j)
+				s.cancelJob(e.j)
 			default:
 				break loop
 			}
